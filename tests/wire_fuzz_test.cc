@@ -334,5 +334,169 @@ TEST(WireCorruptionSweepTest, EveryTruncationOfEveryMessageTypeIsRejected) {
   }
 }
 
+// --- Golden wire bytes --------------------------------------------------------
+//
+// The exact encoding of every specimen above, plus a few that set the flags
+// the sweep's specimens leave at their defaults, pinned as (length, 64-bit
+// FNV-1a digest). The values were captured from the hand-written per-type
+// codecs that first defined these formats. Any codec change that alters one
+// byte of one message type fails here; never re-capture them to make a
+// change pass.
+
+std::vector<Bytes> GoldenOnlySpecimens() {
+  Rng rng(7);
+  std::vector<Bytes> specimens;
+
+  Packet p;
+  p.early_binding = true;
+  p.deliver_all = true;
+  p.answer_from_cache = true;
+  p.hop_limit = 3;
+  p.cache_lifetime_s = 30;
+  p.deadline_budget_ms = 250;
+  p.source_name = "[service=golden]";
+  p.destination_name = GenerateSizedName(rng, 60).ToString();
+  p.payload = {0, 0xff, 0x80};
+  specimens.push_back(Encode(p));
+
+  NameUpdate update;
+  update.vspace = "building";
+  update.triggered = true;
+  NameUpdateEntry e;
+  e.name_text = GenerateSizedName(rng, 40).ToString();
+  e.announcer = AnnouncerId{1, 2, 3};
+  e.endpoint = EndpointInfo{MakeAddress(3, 7001), {{80, "http"}, {5004, "rtp"}}};
+  e.app_metric = -0.75;
+  e.route_metric = 12.5;
+  e.lifetime_s = 45;
+  e.version = 1ull << 40;
+  update.entries.push_back(std::move(e));
+  specimens.push_back(Encode(update));
+
+  DsrRegister candidate;
+  candidate.inr = MakeAddress(5);
+  candidate.active = false;
+  candidate.lifetime_s = 60;
+  specimens.push_back(Encode(candidate));
+
+  JournalDeltaRequest jreq;
+  jreq.from = MakeAddress(2);
+  jreq.vspace = "cam";
+  jreq.after_serial = 7;
+  jreq.full = true;
+  specimens.push_back(Encode(jreq));
+
+  JournalDeltaResponse snapshot;
+  snapshot.from = MakeAddress(1);
+  snapshot.vspace = "cam";
+  snapshot.snapshot = true;
+  snapshot.to_serial = 99;
+  snapshot.seq = 3;
+  snapshot.last = false;
+  JournalDeltaResponse::Entry expire;
+  expire.op = 2;
+  expire.name_text = "[service=camera[id=c9]]";
+  expire.announcer = AnnouncerId{9, 8, 7};
+  expire.lifetime_s = 1;
+  snapshot.entries.push_back(std::move(expire));
+  specimens.push_back(Encode(snapshot));
+
+  MetricsDeltaResponse full;
+  full.request_id = 6;
+  full.inr = MakeAddress(1);
+  full.seq = 1;
+  full.full = true;
+  full.counters = {{"transport.drop.oversize", 2}};
+  full.gauges = {{"admission.lag_us", -(1ll << 40)}};
+  MetricsResponse::HistogramItem h;
+  h.name = "latency.stage.encode";
+  h.sum = 77;
+  h.min = 77;
+  h.max = 77;
+  h.buckets = {{6, 1}};
+  full.histograms.push_back(std::move(h));
+  specimens.push_back(Encode(full));
+  return specimens;
+}
+
+uint64_t Fnv1a64(const Bytes& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct GoldenEncoding {
+  size_t size;
+  uint64_t digest;
+};
+
+// EncodedSpecimens() in order (wire types 1..34, then the traced packet),
+// followed by GoldenOnlySpecimens().
+constexpr GoldenEncoding kGolden[] = {
+    {119, 0xdb3a5ff0c7306a26ull},  // 1 Data
+    {136, 0x6c6b5b5fda0ee2feull},  // 2 Advertisement
+    {287, 0x42ee342c348ce072ull},  // 3 NameUpdate
+    {42, 0xe12fc4917b24b239ull},   // 4 DiscoveryRequest
+    {69, 0x41b244629fda5df2ull},   // 5 DiscoveryResponse
+    {39, 0x6ed23557b17d1192ull},   // 6 EarlyBindingResponse
+    {21, 0x9a7a3939986f6adbull},   // 7 Ping
+    {21, 0x480b82621ecb2eb2ull},   // 8 Pong
+    {11, 0x6c3e0c1d13cc21ffull},   // 9 PeerRequest
+    {11, 0xa1046dd3c4a48d1bull},   // 10 PeerAccept
+    {11, 0x713cc9e72022cd88ull},   // 11 PeerClose
+    {24, 0xb107e8e19d4a6c80ull},   // 12 DsrRegister
+    {13, 0xeea2fa55469fb0e0ull},   // 13 DsrListRequest
+    {45, 0x94fae1c1cddeec7aull},   // 14 DsrListResponse
+    {18, 0x4c403c6da07c0a4eull},   // 15 DsrVspaceRequest
+    {24, 0x42fb40602d7a06e2ull},   // 16 DsrVspaceResponse
+    {13, 0x2e6529aac1cc837full},   // 17 DsrCandidatesRequest
+    {21, 0xacb3568eb7197b43ull},   // 18 DsrCandidatesResponse
+    {18, 0x4a3522c177f6b287ull},   // 19 SpawnRequest
+    {16, 0x5e3313a307863488ull},   // 20 DelegateVspace
+    {19, 0x466e6b6aa9a1fa44ull},   // 21 DsrAssignmentsRequest
+    {30, 0x542e4af3097dc7c7ull},   // 22 DsrAssignmentsResponse
+    {11, 0x794830b7792e1311ull},   // 23 PeerKeepalive
+    {19, 0x72262b2a39004eceull},   // 24 MetricsRequest
+    {197, 0x32f25fc39516c11bull},  // 25 MetricsResponse
+    {36, 0xef2f56ff579bda6full},   // 26 JournalDigest
+    {25, 0xe56307950d0285b6ull},   // 27 JournalDeltaRequest
+    {222, 0x300ecd076409780eull},  // 28 JournalDeltaResponse
+    {18, 0xb760c344e15c3bfcull},   // 29 DsrReplicaSetRequest
+    {40, 0x89e1d5bd15804babull},   // 30 DsrReplicaSetResponse
+    {16, 0x3b7efbe3a4cf726cull},   // 31 ReplicaInvite
+    {17, 0x7af6b5bc849edc96ull},   // 32 DsrDeadInrReport
+    {27, 0x85a412cbc22db5dfull},   // 33 MetricsDeltaRequest
+    {190, 0xbd303d0d2887436full},  // 34 MetricsDeltaResponse
+    {127, 0x21d599b6c786acbaull},  // traced Packet
+    {104, 0x761f7ac68bdf353eull},  // Packet with B, D and cache bits
+    {125, 0x5dd69f23aee64a0bull},  // NameUpdate, triggered
+    {18, 0xb8da4ed1efc44859ull},   // DsrRegister, candidate only
+    {25, 0x1fc64143ef227a10ull},   // JournalDeltaRequest, full
+    {110, 0xf4b65433ef4ecbefull},  // JournalDeltaResponse, snapshot, not last
+    {157, 0x1d94caed84013d4aull},  // MetricsDeltaResponse, full
+};
+
+TEST(WireGoldenTest, EverySpecimenEncodesToPinnedBytes) {
+  std::vector<Bytes> specimens = EncodedSpecimens();
+  for (Bytes& extra : GoldenOnlySpecimens()) {
+    specimens.push_back(std::move(extra));
+  }
+  ASSERT_EQ(specimens.size(), std::size(kGolden));
+  for (size_t i = 0; i < specimens.size(); ++i) {
+    const Bytes& bytes = specimens[i];
+    SCOPED_TRACE("specimen " + std::to_string(i) + ", wire type " + std::to_string(bytes[0]));
+    EXPECT_EQ(bytes.size(), kGolden[i].size);
+    EXPECT_EQ(Fnv1a64(bytes), kGolden[i].digest);
+    // Decoding and re-encoding must reproduce the same bytes, so the decode
+    // side of every field layout is pinned too.
+    auto decoded = DecodeMessage(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(EncodeMessage(*decoded), bytes);
+  }
+}
+
 }  // namespace
 }  // namespace ins
