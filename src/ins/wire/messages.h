@@ -427,6 +427,8 @@ struct Envelope {
 uint32_t EnvelopeChecksum(const uint8_t* data, size_t len);
 
 Bytes EncodeMessage(const Envelope& e);
+// Rejects a datagram that is too short, fails its checksum, names an unknown
+// type, runs out inside its body, or has bytes left after its body.
 Result<Envelope> DecodeMessage(const Bytes& buffer);
 
 // Convenience: wraps a body and encodes in one step.
