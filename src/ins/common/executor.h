@@ -3,9 +3,6 @@
 // Timers (soft-state expiry sweeps, periodic advertisement refresh, periodic
 // routing updates) are scheduled through an Executor so the same code runs
 // under virtual time in the simulator and real time in live deployments.
-// TaskRunner is the untimed counterpart: run-as-soon-as-possible submission,
-// implemented inline for single-threaded callers and by common/worker_pool.h
-// for the multi-threaded lookup core.
 
 #ifndef INS_COMMON_EXECUTOR_H_
 #define INS_COMMON_EXECUTOR_H_
@@ -38,22 +35,6 @@ class Executor {
 
   // The executor's notion of current time.
   virtual TimePoint Now() const = 0;
-};
-
-// Immediate (untimed) task submission. Unlike Executor, a TaskRunner makes
-// no ordering or threading promise beyond "fn runs once, eventually"; callers
-// that need a completion barrier build one on top (see WorkerPool::RunAll).
-class TaskRunner {
- public:
-  virtual ~TaskRunner() = default;
-  virtual void Post(std::function<void()> fn) = 0;
-};
-
-// Runs everything synchronously on the calling thread; the degenerate
-// TaskRunner used when no worker pool is configured.
-class InlineRunner : public TaskRunner {
- public:
-  void Post(std::function<void()> fn) override { fn(); }
 };
 
 }  // namespace ins

@@ -291,12 +291,12 @@ std::string SimCluster::CheckReplicationConvergence() {
     }
     for (const std::string& vspace : h->inr->vspaces().RoutedSpaces()) {
       std::map<AnnouncerId, std::string> view;
-      h->inr->vspaces().store().ForEachShardTree(vspace, [&](const NameTree& tree) {
-        for (const NameRecord* rec : tree.AllRecords()) {
+      if (const NameTree* tree = h->inr->vspaces().store().Tree(vspace)) {
+        for (const NameRecord* rec : tree->AllRecords()) {
           view[rec->announcer] =
-              tree.ExtractName(rec).ToString() + " @" + rec->endpoint.address.ToString();
+              tree->ExtractName(rec).ToString() + " @" + rec->endpoint.address.ToString();
         }
-      });
+      }
       views[vspace].emplace_back(h->inr->address(), std::move(view));
     }
   }

@@ -1,8 +1,6 @@
 #include "ins/inr/forwarding.h"
 
-#include <algorithm>
 #include <chrono>
-#include <set>
 
 #include "ins/common/logging.h"
 #include "ins/name/parser.h"
@@ -110,52 +108,50 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
   lookups_.Increment();
   const auto lookup_start = std::chrono::steady_clock::now();
 
-  // Resolve against every shard of the space — in parallel on the worker
-  // pool when one is configured. The scan callback does pure per-shard
-  // reduction into its own slot (no sends, no metrics: those are not
-  // thread-safe and happen after the merge, on this thread).
+  // The callback only reduces the matches (no sends, no metrics); the
+  // packet is acted on below, once the lookup is done.
   const bool early_binding = packet.early_binding;
   const bool deliver_all = packet.deliver_all;
   const bool from_neighbor_inr = topology_->IsNeighbor(src);
-  std::vector<ShardPartial> parts(store.ShardCountOf(vspace));
+  Resolution res;
   store.ForEachShardMatch(
       vspace, dst,
-      [&](size_t shard, const NameTree& tree, const std::vector<const NameRecord*>& matches) {
-        (void)tree;
-        ShardPartial& p = parts[shard];
-        p.matches = matches.size();
+      [&](size_t, const NameTree&, const std::vector<const NameRecord*>& matches) {
+        res.matches = matches.size();
         if (early_binding) {
-          p.records.reserve(matches.size());
+          res.records.reserve(matches.size());
           for (const NameRecord* rec : matches) {
-            p.records.push_back(rec->Detached());
+            res.records.push_back(rec->Detached());
           }
           return;
         }
         if (deliver_all) {
           for (const NameRecord* rec : matches) {
             if (rec->route.IsLocal()) {
-              p.locals.push_back(rec->Detached());
+              res.locals.push_back(rec->Detached());
             } else if (vspaces_->IsDeadReplica(rec->route.next_hop_inr)) {
               // Survivor promotion: the next hop is a dead replica-set
               // member, but a replica holds the record's full endpoint, so
               // deliver directly instead of tunneling into the black hole.
-              // (Safe off-thread: the dead set only mutates on the protocol
-              // thread, which is blocked inside this shard scan.)
-              p.locals.push_back(rec->Detached());
-              ++p.rescued;
+              res.locals.push_back(rec->Detached());
+              ++res.rescued;
             } else if (!(from_neighbor_inr && rec->route.next_hop_inr == src)) {
               // Split horizon on the data path: never bounce a multicast
               // copy back to the neighbor it came from.
-              p.next_hops.push_back(rec->route.next_hop_inr);
+              res.next_hops.insert(rec->route.next_hop_inr);
             }
           }
           return;
         }
+        const NameRecord* best = nullptr;
         for (const NameRecord* rec : matches) {
-          if (!p.best.has_value() || rec->app_metric < p.best->app_metric ||
-              (rec->app_metric == p.best->app_metric && rec->announcer < p.best->announcer)) {
-            p.best = rec->Detached();
+          if (best == nullptr || rec->app_metric < best->app_metric ||
+              (rec->app_metric == best->app_metric && rec->announcer < best->announcer)) {
+            best = rec;
           }
+        }
+        if (best != nullptr) {
+          res.best = best->Detached();
         }
       });
 
@@ -166,48 +162,23 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
 
   MaybeCache(packet);
 
-  size_t total_matches = 0;
-  size_t rescued = 0;
-  for (const ShardPartial& p : parts) {
-    total_matches += p.matches;
-    rescued += p.rescued;
+  if (res.rescued > 0) {
+    dead_replica_reroutes_.Increment(res.rescued);
   }
-  if (rescued > 0) {
-    dead_replica_reroutes_.Increment(rescued);
-  }
-  Trace(packet, TraceEventKind::kLookup, "", {}, total_matches);
+  Trace(packet, TraceEventKind::kLookup, "", {}, res.matches);
 
   if (early_binding) {
-    std::vector<NameRecord> merged;
-    merged.reserve(total_matches);
-    for (ShardPartial& p : parts) {
-      std::move(p.records.begin(), p.records.end(), std::back_inserter(merged));
-    }
-    std::sort(merged.begin(), merged.end(), [](const NameRecord& a, const NameRecord& b) {
-      return a.announcer < b.announcer;
-    });
-    HandleEarlyBinding(src, packet, std::move(merged));
+    HandleEarlyBinding(src, packet, std::move(res.records));
     return;
   }
-  if (total_matches == 0) {
+  if (res.matches == 0) {
     NoteDrop(packet, ForwardingDropReason::kNoMatch);
     return;
   }
   if (deliver_all) {
-    HandleMulticast(packet, parts);
+    HandleMulticast(packet, res);
   } else {
-    // Late route merge: the global argmin over the shard-local winners.
-    const NameRecord* best = nullptr;
-    for (const ShardPartial& p : parts) {
-      if (!p.best.has_value()) {
-        continue;
-      }
-      if (best == nullptr || p.best->app_metric < best->app_metric ||
-          (p.best->app_metric == best->app_metric && p.best->announcer < best->announcer)) {
-        best = &*p.best;
-      }
-    }
-    HandleAnycast(packet, *best);
+    HandleAnycast(packet, *res.best);
   }
 }
 
@@ -244,7 +215,7 @@ void ForwardingAgent::HandleEarlyBinding(const NodeAddress& src, const Packet& p
 
 void ForwardingAgent::HandleAnycast(const Packet& packet, const NameRecord& best) {
   // Exactly one destination: the least application metric; announcer id is
-  // the deterministic tie-break (applied per shard, then across shards).
+  // the deterministic tie-break.
   anycasts_.Increment();
   if (best.route.IsLocal()) {
     DeliverLocal(packet, best);
@@ -260,23 +231,14 @@ void ForwardingAgent::HandleAnycast(const Packet& packet, const NameRecord& best
   }
 }
 
-void ForwardingAgent::HandleMulticast(const Packet& packet, std::vector<ShardPartial>& parts) {
+void ForwardingAgent::HandleMulticast(const Packet& packet, const Resolution& res) {
   multicasts_.Increment();
-  // Deliver to locally attached matches in deterministic announcer order,
-  // and forward exactly one copy per distinct next-hop INR.
-  std::vector<NameRecord> locals;
-  std::set<NodeAddress> next_hops;
-  for (ShardPartial& p : parts) {
-    std::move(p.locals.begin(), p.locals.end(), std::back_inserter(locals));
-    next_hops.insert(p.next_hops.begin(), p.next_hops.end());
-  }
-  std::sort(locals.begin(), locals.end(), [](const NameRecord& a, const NameRecord& b) {
-    return a.announcer < b.announcer;
-  });
-  for (const NameRecord& rec : locals) {
+  // Deliver to locally attached matches in announcer order (the lookup's
+  // order), and forward exactly one copy per distinct next-hop INR.
+  for (const NameRecord& rec : res.locals) {
     DeliverLocal(packet, rec);
   }
-  for (const NodeAddress& hop : next_hops) {
+  for (const NodeAddress& hop : res.next_hops) {
     ForwardToInr(packet, hop);
   }
 }

@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,16 +98,16 @@ class ForwardingAgent {
   void NoteDrop(const Packet& packet, ForwardingDropReason reason);
 
  private:
-  // Per-shard partial resolution result, reduced inside the (possibly
-  // parallel) shard scan and route-merged afterwards on the protocol thread.
-  // Only the fields the packet's delivery mode needs are filled.
-  struct ShardPartial {
+  // One lookup's reduction, filled inside the store's match callback and
+  // acted on after it returns. Only the fields the packet's delivery mode
+  // needs are filled.
+  struct Resolution {
     size_t matches = 0;
-    std::vector<NameRecord> records;     // early binding: all matches
-    std::optional<NameRecord> best;      // anycast: shard-local argmin
-    std::vector<NameRecord> locals;      // multicast: locally attached matches
-    std::vector<NodeAddress> next_hops;  // multicast: split-horizon-filtered hops
-    size_t rescued = 0;                  // routed via a dead replica, served directly
+    std::vector<NameRecord> records;  // early binding: all matches, announcer order
+    std::optional<NameRecord> best;   // anycast: least metric, announcer tie-break
+    std::vector<NameRecord> locals;   // multicast: locally attached matches
+    std::set<NodeAddress> next_hops;  // multicast: split-horizon-filtered hops
+    size_t rescued = 0;               // routed via a dead replica, served directly
   };
 
   // `dst` is the packet's destination name, decoded exactly once per packet
@@ -117,7 +118,7 @@ class ForwardingAgent {
   void HandleEarlyBinding(const NodeAddress& src, const Packet& packet,
                           std::vector<NameRecord> records);
   void HandleAnycast(const Packet& packet, const NameRecord& best);
-  void HandleMulticast(const Packet& packet, std::vector<ShardPartial>& parts);
+  void HandleMulticast(const Packet& packet, const Resolution& res);
   void DeliverLocal(const Packet& packet, const NameRecord& record);
   void ForwardToInr(const Packet& packet, const NodeAddress& next_hop);
   bool TryAnswerFromCache(const Packet& packet, const NameSpecifier& dst);

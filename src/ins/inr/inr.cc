@@ -34,20 +34,14 @@ Inr::Inr(Executor* executor, Transport* transport, InrConfig config)
     transport_->Send(dst, EncodeMessage(env));
   };
 
-  lookup_pool_ = std::make_unique<WorkerPool>(config_.lookup_threads);
   ping_agent_ = std::make_unique<PingAgent>(executor_, send);
   topology_ = std::make_unique<TopologyManager>(executor_, ping_agent_.get(), send,
                                                 address(), config_.topology, &metrics_);
   ShardedNameTree::Options store_options;
-  store_options.fallback_shards = config_.fallback_shards;
-  store_options.pool = lookup_pool_.get();
   // Journaling costs one entry copy per state-changing write; only pay it
   // when replication will consume the journal.
   store_options.journal_capacity =
       config_.replication.enabled ? config_.replication.journal_capacity : 0;
-  // The protocol thread is the store's only mutator, and shard fan-out joins
-  // before it continues, so the store runs in inline (lock-free-by-absence)
-  // mode; the left-right concurrent mode is for the standalone lookup core.
   vspaces_ = std::make_unique<VspaceManager>(executor_, send, config_.dsr, &metrics_,
                                              store_options);
   cache_ = std::make_unique<PacketCache>(config_.cache_capacity);
@@ -518,13 +512,12 @@ std::string Inr::DebugString() const {
   os << "\n";
   for (const std::string& vspace : vspaces_->RoutedSpaces()) {
     const ShardedNameTree& store = vspaces_->store();
-    os << "vspace '" << vspace << "': " << store.RecordCount(vspace) << " names in "
-       << store.ShardCountOf(vspace) << " shard(s)\n";
-    store.ForEachShardTree(vspace, [&os](const NameTree& tree) { os << tree.DebugString(); });
+    os << "vspace '" << vspace << "': " << store.RecordCount(vspace) << " names\n";
+    os << store.Tree(vspace)->DebugString();
   }
   os << "shards:\n";
   for (const ShardedNameTree::ShardStats& st : vspaces_->store().PerShardStats()) {
-    os << "  '" << st.vspace << "'/" << st.sub << ": " << st.records << " records, "
+    os << "  '" << st.vspace << "': " << st.records << " records, "
        << st.bytes << " bytes, " << st.lookups << " lookups, " << st.updates
        << " updates\n";
   }

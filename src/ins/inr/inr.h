@@ -25,7 +25,6 @@
 #include "ins/common/timeseries.h"
 #include "ins/common/trace.h"
 #include "ins/common/transport.h"
-#include "ins/common/worker_pool.h"
 #include "ins/inr/admission.h"
 #include "ins/inr/forwarding.h"
 #include "ins/inr/load_balancer.h"
@@ -71,12 +70,6 @@ struct InrConfig {
   // turns on store journaling and suppresses the periodic refresh storm.
   ReplicationConfig replication;
   size_t cache_capacity = 128;
-  // Worker threads for fanning lookups out across shards of a space; 0 (the
-  // default) resolves inline on the protocol thread — the simulator mode.
-  size_t lookup_threads = 0;
-  // Shards the default space "" is hash-split into. 1 (the default) keeps
-  // the seed's one-tree-per-space layout and exact lookup semantics.
-  size_t fallback_shards = 1;
   // Capacity of the per-node trace-event ring (entries, not bytes). Sampled
   // packets append events here; the harness merges rings into journeys.
   size_t trace_ring_capacity = 1024;
@@ -176,9 +169,6 @@ class Inr {
   CounterHandle messages_;
   CounterHandle bytes_received_;
 
-  // Created before vspaces_ (the store keeps a plain pointer to it) and
-  // destroyed after it.
-  std::unique_ptr<WorkerPool> lookup_pool_;
   std::unique_ptr<PingAgent> ping_agent_;
   std::unique_ptr<TopologyManager> topology_;
   std::unique_ptr<VspaceManager> vspaces_;

@@ -1,7 +1,5 @@
 #include "ins/inr/load_balancer.h"
 
-#include <map>
-
 #include "ins/common/logging.h"
 #include "ins/inr/name_discovery.h"
 
@@ -139,24 +137,17 @@ void LoadBalancer::RequestCandidates(PendingAction action) {
 std::string LoadBalancer::PickSpaceToDelegate() const {
   // The seed's heuristic: shed the space holding the most records — the most
   // state to stop maintaining, and the best proxy for sustained update load
-  // under soft-state refresh. Per-shard write-batch counts only break ties,
-  // so delegation choices match the pre-sharding resolver exactly.
+  // under soft-state refresh. Per-space write counts only break ties, so
+  // delegation choices match the pre-sharding resolver exactly.
   std::string best;
   uint64_t best_updates = 0;
   size_t best_names = 0;
-  std::map<std::string, std::pair<uint64_t, size_t>> per_space;
   for (const ShardedNameTree::ShardStats& st : vspaces_->store().PerShardStats()) {
-    auto& [updates, records] = per_space[st.vspace];
-    updates += st.updates;
-    records += st.records;
-  }
-  for (const auto& [vspace, load] : per_space) {
-    const auto& [updates, records] = load;
-    if (best.empty() || records > best_names ||
-        (records == best_names && updates > best_updates)) {
-      best_updates = updates;
-      best_names = records;
-      best = vspace;
+    if (best.empty() || st.records > best_names ||
+        (st.records == best_names && st.updates > best_updates)) {
+      best_updates = st.updates;
+      best_names = st.records;
+      best = st.vspace;
     }
   }
   return best;

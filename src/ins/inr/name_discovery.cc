@@ -310,14 +310,14 @@ void NameDiscovery::PeriodicTick() {
   for (const std::string& vspace : vspaces_->RoutedSpaces()) {
     for (const NodeAddress& peer : topology_->NeighborAddresses()) {
       std::vector<NameUpdateEntry> entries;
-      vspaces_->store().ForEachShardTree(vspace, [&](const NameTree& tree) {
-        for (const NameRecord* rec : tree.AllRecords()) {
+      if (const NameTree* tree = vspaces_->store().Tree(vspace)) {
+        for (const NameRecord* rec : tree->AllRecords()) {
           if (!rec->route.IsLocal() && rec->route.next_hop_inr == peer) {
             continue;  // split horizon
           }
-          entries.push_back(EntryFromRecord(tree, rec));
+          entries.push_back(EntryFromRecord(*tree, rec));
         }
-      });
+      }
       metrics_->Increment("discovery.periodic_updates_sent");
       SendUpdates(peer, vspace, std::move(entries), /*triggered=*/false);
     }
@@ -349,13 +349,13 @@ void NameDiscovery::PurgeRoutesVia(const NodeAddress& next_hop,
       continue;
     }
     std::vector<AnnouncerId> stale;
-    vspaces_->store().ForEachShardTree(vspace, [&](const NameTree& tree) {
-      for (const NameRecord* rec : tree.AllRecords()) {
+    if (const NameTree* tree = vspaces_->store().Tree(vspace)) {
+      for (const NameRecord* rec : tree->AllRecords()) {
         if (!rec->route.IsLocal() && rec->route.next_hop_inr == next_hop) {
           stale.push_back(rec->announcer);
         }
       }
-    });
+    }
     for (const AnnouncerId& id : stale) {
       if (vspaces_->store().Remove(vspace, id)) {
         INS_LOG(kDebug) << "discovery: " << self_.ToString() << " purged "
@@ -381,14 +381,14 @@ void NameDiscovery::SendVspaceStateTo(const NodeAddress& peer, const std::string
     return;
   }
   std::vector<NameUpdateEntry> entries;
-  vspaces_->store().ForEachShardTree(vspace, [&](const NameTree& tree) {
-    for (const NameRecord* rec : tree.AllRecords()) {
+  if (const NameTree* tree = vspaces_->store().Tree(vspace)) {
+    for (const NameRecord* rec : tree->AllRecords()) {
       if (!rec->route.IsLocal() && rec->route.next_hop_inr == peer) {
         continue;
       }
-      entries.push_back(EntryFromRecord(tree, rec));
+      entries.push_back(EntryFromRecord(*tree, rec));
     }
-  });
+  }
   if (!entries.empty()) {
     SendUpdates(peer, vspace, std::move(entries), /*triggered=*/true);
   }

@@ -427,14 +427,14 @@ void ReplicationAgent::HandleDeltaRequest(const NodeAddress& src,
   if (snapshot) {
     metrics_->Increment("replication.snapshots_sent");
     to_serial = journal == nullptr ? 0 : journal->head_serial();
-    store.ForEachShardTree(req.vspace, [&](const NameTree& tree) {
-      for (const NameRecord* rec : tree.AllRecords()) {
+    if (const NameTree* tree = store.Tree(req.vspace)) {
+      for (const NameRecord* rec : tree->AllRecords()) {
         if (!rec->route.IsLocal() && rec->route.next_hop_inr == src) {
           continue;  // split horizon: never hand records back to their source
         }
         JournalDeltaResponse::Entry e;
         e.op = static_cast<uint8_t>(JournalOp::kUpsert);
-        e.name_text = tree.ExtractName(rec).ToString();
+        e.name_text = tree->ExtractName(rec).ToString();
         e.announcer = rec->announcer;
         e.endpoint = rec->endpoint;
         e.app_metric = rec->app_metric;
@@ -443,7 +443,7 @@ void ReplicationAgent::HandleDeltaRequest(const NodeAddress& src,
         e.version = rec->version;
         entries.push_back(std::move(e));
       }
-    });
+    }
   } else {
     to_serial = raw.empty() ? journal->head_serial() : raw.back().serial;
     entries.reserve(raw.size());
@@ -590,8 +590,8 @@ void ReplicationAgent::RefreshReplicasVia(const NodeAddress& peer, const std::st
   ShardedNameTree& store = vspaces_->store();
   std::vector<AnnouncerId> via;
   std::vector<AnnouncerId> orphans;
-  store.ForEachShardTree(vspace, [&](const NameTree& tree) {
-    for (const NameRecord* rec : tree.AllRecords()) {
+  if (const NameTree* tree = store.Tree(vspace)) {
+    for (const NameRecord* rec : tree->AllRecords()) {
       if (rec->route.IsLocal()) {
         continue;
       }
@@ -607,7 +607,7 @@ void ReplicationAgent::RefreshReplicasVia(const NodeAddress& peer, const std::st
         orphans.push_back(rec->announcer);
       }
     }
-  });
+  }
   const TimePoint lease = executor_->Now() + Seconds(config_.replica_lifetime_s);
   for (const AnnouncerId& id : via) {
     store.RefreshExpiry(vspace, id, lease);
@@ -627,14 +627,14 @@ void ReplicationAgent::PurgeUnseenVia(const NodeAddress& peer, const std::string
                                       const std::set<AnnouncerId>& seen) {
   ShardedNameTree& store = vspaces_->store();
   std::vector<AnnouncerId> stale;
-  store.ForEachShardTree(vspace, [&](const NameTree& tree) {
-    for (const NameRecord* rec : tree.AllRecords()) {
+  if (const NameTree* tree = store.Tree(vspace)) {
+    for (const NameRecord* rec : tree->AllRecords()) {
       if (!rec->route.IsLocal() && rec->route.next_hop_inr == peer &&
           seen.count(rec->announcer) == 0) {
         stale.push_back(rec->announcer);
       }
     }
-  });
+  }
   for (const AnnouncerId& id : stale) {
     // Remove() journals a delete, so the purge propagates to OUR neighbors
     // on their next digest round — snapshot repair crosses the overlay too.

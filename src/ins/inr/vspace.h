@@ -44,15 +44,12 @@ class VspaceManager {
   bool Routes(const std::string& vspace) const { return store_.Routes(vspace); }
   std::vector<std::string> RoutedSpaces() const { return store_.RoutedSpaces(); }
 
-  // The sharded record store: one shard per routed space plus the hashed
-  // fallback shards of the default space. All record reads/writes on the
-  // resolver path go through this.
+  // The record store: one name-tree per routed space. All record
+  // reads/writes on the resolver path go through this.
   ShardedNameTree& store() { return store_; }
   const ShardedNameTree& store() const { return store_; }
 
-  // Compat: the first shard tree of a routed space; nullptr when not routed.
-  // Mutating through this pointer is legal only in inline (non-concurrent)
-  // store mode — which is how the protocol thread runs.
+  // The name-tree of a routed space; nullptr when not routed.
   NameTree* Tree(const std::string& vspace) { return store_.Tree(vspace); }
   const NameTree* Tree(const std::string& vspace) const { return store_.Tree(vspace); }
 

@@ -2,10 +2,9 @@
 // and pre-parsed numerics, flattened into one contiguous node array.
 //
 // A specifier is compiled exactly once — at parse/decode time on the update
-// path, or per store operation on the query path — and then reused across
-// every shard and both left-right replica sides it touches. Grafting and
-// LOOKUP-NAME thereafter run on integer compares: no std::string hashing, no
-// per-candidate strtod.
+// path, or per store operation on the query path — and then reused against
+// any tree that shares its symbol table. Grafting and LOOKUP-NAME thereafter
+// run on integer compares: no std::string hashing, no per-candidate strtod.
 //
 // Two compile modes:
 //   * ForUpdate interns every attribute and value token (writer path; may

@@ -7,8 +7,8 @@
 // std::string hashing, the same trick the BSD vfs name cache and Linux's
 // dcache use to keep path resolution cache-dense.
 //
-// Concurrency contract (what lets this compose with ShardedNameTree's
-// left-right replicas):
+// Concurrency contract (the table is shared by every tree of a resolver's
+// store, and by query compiles that may run off the writer's thread):
 //
 //   * Intern() may be called from any writer thread; writers serialize on an
 //     internal mutex. Ids are assigned densely in intern order and NEVER

@@ -47,9 +47,9 @@ struct JournalEntry {
   uint64_t version = 0;
 };
 
-// Bounded ring of journal entries with a monotonic serial. Appends under an
-// internal mutex: in the store's concurrent mode different shards of one
-// space may mutate from different threads, and all of them feed one journal.
+// Bounded ring of journal entries with a monotonic serial. Appends and reads
+// take an internal mutex, so a reader on another thread (a monitor, a test)
+// never sees a half-appended entry.
 class NameJournal {
  public:
   explicit NameJournal(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}

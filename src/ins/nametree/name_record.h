@@ -110,8 +110,8 @@ struct NameRecord {
 
   std::string ToString() const;
 
-  // Value copy with the tree-internal terminal pointers cleared: safe to hand
-  // across shard/thread boundaries after the source tree version is retired.
+  // Value copy with the tree-internal terminal pointers cleared: safe to keep
+  // after the source tree mutates or is destroyed.
   NameRecord Detached() const {
     NameRecord copy = *this;
     copy.terminals_.clear();

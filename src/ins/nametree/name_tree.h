@@ -65,8 +65,8 @@ class NameTree {
     bool cache_subtree_records = false;
     // Intern table for attribute/value tokens. Null (the default): the tree
     // owns a private table. ShardedNameTree passes one shared table to every
-    // shard and both left-right sides, so a name compiled once is valid
-    // against all of them (the table is append-only and ids are stable).
+    // space's tree, so a name compiled once is valid against all of them
+    // (the table is append-only and ids are stable).
     std::shared_ptr<SymbolTable> symbols;
     // Maintain a posting-list secondary index (posting_index.h) alongside
     // the tree, and serve conjunctive literal queries by posting-list
@@ -92,8 +92,8 @@ class NameTree {
   // Reusable per-lookup scratch: the intersection working vectors of
   // LOOKUP-NAME, pooled so repeated queries allocate nothing in steady
   // state. Lookup() without one uses a thread-local instance; callers with
-  // their own threading discipline (bench loops, shard fan-out slots) can
-  // pass one explicitly. Not thread-safe; contents are transient per call.
+  // their own threading discipline (bench loops) can pass one explicitly.
+  // Not thread-safe; contents are transient per call.
   class LookupScratch {
    public:
     void Reset() { used_ = 0; }
@@ -174,8 +174,7 @@ class NameTree {
   UpsertOutcome Upsert(const NameSpecifier& name, const NameRecord& info);
 
   // As above with the name already compiled (CompiledName::ForUpdate against
-  // this tree's symbols()). The sharded store compiles once per entry and
-  // replays the same compiled name on both left-right sides.
+  // this tree's symbols()).
   UpsertOutcome Upsert(const NameSpecifier& name, const CompiledName& compiled,
                        const NameRecord& info);
 
@@ -358,8 +357,7 @@ class NameTree {
   ValueNode root_;
   std::map<AnnouncerId, std::unique_ptr<NameRecord>> records_;
   // The posting-list secondary index (null when disabled). Mutated only on
-  // this tree's write path, so the left-right protocol flips and replays it
-  // together with the tree.
+  // this tree's write path.
   std::unique_ptr<PostingIndex> index_;
 
   // Min-heap over (deadline, announcer), maintained with std::push/pop_heap

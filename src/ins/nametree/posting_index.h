@@ -29,13 +29,11 @@
 // to bitmaps above a density threshold with hysteresis on the way back down.
 //
 // Concurrency. A PostingIndex is a private member of one NameTree and is
-// mutated only through that tree's write path, so the left-right protocol
-// covers it for free: the index flips sides with its tree, readers see the
-// published side under the same epoch guard, and deterministic replay
-// rebuilds the retired side's index identically. The version() counter —
-// bumped on every mutation — is what keys QueryPlanCache validity. The
-// lookup counters are relaxed atomics because concurrent readers share the
-// published side.
+// mutated only through that tree's write path; it follows the tree's rule of
+// one writer, or any number of readers. The version() counter — bumped on
+// every mutation — is what keys QueryPlanCache validity. The lookup counters
+// are relaxed atomics because const lookups may run on several threads at
+// once (each with its own LookupScratch).
 
 #ifndef INS_NAMETREE_POSTING_INDEX_H_
 #define INS_NAMETREE_POSTING_INDEX_H_
@@ -128,8 +126,7 @@ struct PostingIndexStats {
   uint64_t fallback_union = 0;     // tree walk: union-at-return level
   uint64_t plan_hits = 0;          // QueryPlanCache hits
   uint64_t plan_misses = 0;        // plans derived fresh
-  // Structural events (write-side; in concurrent mode the left-right replay
-  // applies each mutation to both sides, so these count per-side events).
+  // Structural events (write-side).
   uint64_t promotions = 0;
   uint64_t demotions = 0;
   // Size of the read side.
@@ -165,9 +162,9 @@ class PostingIndex {
   PostingIndex(const PostingIndex&) = delete;
   PostingIndex& operator=(const PostingIndex&) = delete;
 
-  // Process-unique instance id: with left-right sides and tree teardown, a
-  // plan cached against one index must never validate against another that
-  // happens to reuse its address.
+  // Process-unique instance id: after tree teardown, a plan cached against
+  // one index must never validate against another that happens to reuse its
+  // address.
   uint64_t id() const { return id_; }
   // Bumped on every mutation; a cached plan is valid only at exact version.
   uint64_t version() const { return version_; }
@@ -190,7 +187,7 @@ class PostingIndex {
   // mirroring the pruned tree.
   void RemoveTerm(uint64_t vfp, uint64_t afp, bool terminal, uint32_t slot);
 
-  // ---- Reader side (epoch-protected published side) ----
+  // ---- Reader side ----
 
   // Derives the plan for `query` (ForQuery-compiled) against current state.
   void DerivePlan(const CompiledName& query, QueryPlan* out) const;
@@ -212,7 +209,7 @@ class PostingIndex {
   // ---- Accounting / verification ----
 
   // Lookup-outcome counters, incremented by the owning tree's lookup path
-  // (relaxed atomics: concurrent readers share the published side).
+  // (relaxed atomics: concurrent const lookups share them).
   void CountOutcome(QueryPlan::Kind kind, bool plan_cache_hit) const;
 
   PostingIndexStats Stats() const;

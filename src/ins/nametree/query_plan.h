@@ -12,7 +12,7 @@
 // was derived from, so entries are keyed by (index instance id, index
 // version, query fingerprint) and every index mutation bumps the version.
 // The cache lives inside a LookupScratch (thread-local by construction), so
-// concurrent readers never share cache storage.
+// no two threads share cache storage.
 
 #ifndef INS_NAMETREE_QUERY_PLAN_H_
 #define INS_NAMETREE_QUERY_PLAN_H_

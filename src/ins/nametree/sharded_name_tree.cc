@@ -1,56 +1,48 @@
 #include "ins/nametree/sharded_name_tree.h"
 
-#include <algorithm>
-#include <set>
 #include <utility>
 
 namespace ins {
 
 ShardedNameTree::ShardedNameTree(Options options) : options_(std::move(options)) {
-  if (options_.fallback_shards == 0) {
-    options_.fallback_shards = 1;
-  }
   if (options_.tree_options.symbols == nullptr) {
     options_.tree_options.symbols = std::make_shared<SymbolTable>();
   }
-  symbols_ = options_.tree_options.symbols;
-}
-
-std::unique_ptr<ShardedNameTree::Shard> ShardedNameTree::MakeShard(const std::string& space,
-                                                                   size_t sub) const {
-  auto shard = std::make_unique<Shard>();
-  shard->space = space;
-  shard->sub = sub;
-  shard->sides[0] = std::make_unique<NameTree>(options_.tree_options);
-  if (options_.concurrent) {
-    shard->sides[1] = std::make_unique<NameTree>(options_.tree_options);
-  }
-  return shard;
 }
 
 void ShardedNameTree::AddSpace(const std::string& vspace) {
-  auto [it, inserted] = spaces_.try_emplace(vspace);
-  if (!inserted) {
-    return;
-  }
-  const size_t count = vspace.empty() ? options_.fallback_shards : 1;
-  it->second.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    it->second.push_back(MakeShard(vspace, i));
-  }
-  if (options_.journal_capacity > 0) {
-    journals_.emplace(vspace, std::make_unique<NameJournal>(options_.journal_capacity));
-  }
+  spaces_.try_emplace(vspace, options_);
 }
 
 bool ShardedNameTree::RemoveSpace(const std::string& vspace) {
-  journals_.erase(vspace);
   return spaces_.erase(vspace) > 0;
 }
 
+bool ShardedNameTree::Routes(const std::string& vspace) const {
+  return spaces_.count(vspace) > 0;
+}
+
+std::vector<std::string> ShardedNameTree::RoutedSpaces() const {
+  std::vector<std::string> out;
+  out.reserve(spaces_.size());
+  for (const auto& [space, s] : spaces_) {
+    out.push_back(space);
+  }
+  return out;
+}
+
+ShardedNameTree::Space* ShardedNameTree::SpaceOf(const std::string& vspace) {
+  auto it = spaces_.find(vspace);
+  return it == spaces_.end() ? nullptr : &it->second;
+}
+
+const ShardedNameTree::Space* ShardedNameTree::SpaceOf(const std::string& vspace) const {
+  return const_cast<ShardedNameTree*>(this)->SpaceOf(vspace);
+}
+
 NameJournal* ShardedNameTree::journal(const std::string& vspace) {
-  auto it = journals_.find(vspace);
-  return it == journals_.end() ? nullptr : it->second.get();
+  Space* s = SpaceOf(vspace);
+  return s == nullptr ? nullptr : s->journal.get();
 }
 
 const NameJournal* ShardedNameTree::journal(const std::string& vspace) const {
@@ -62,10 +54,9 @@ uint64_t ShardedNameTree::JournalHead(const std::string& vspace) const {
   return j == nullptr ? 0 : j->head_serial();
 }
 
-void ShardedNameTree::JournalUpsert(const std::string& vspace, const NameSpecifier& name,
+void ShardedNameTree::JournalUpsert(Space& s, const NameSpecifier& name,
                                     const NameRecord& record) {
-  NameJournal* j = journal(vspace);
-  if (j == nullptr) {
+  if (s.journal == nullptr) {
     return;
   }
   JournalEntry e;
@@ -77,607 +68,214 @@ void ShardedNameTree::JournalUpsert(const std::string& vspace, const NameSpecifi
   e.route_metric = record.route.overlay_metric;
   e.expires = record.expires;
   e.version = record.version;
-  j->Append(std::move(e));
+  s.journal->Append(std::move(e));
 }
 
-void ShardedNameTree::JournalTombstone(const std::string& vspace, JournalOp op,
-                                       const AnnouncerId& id) {
-  NameJournal* j = journal(vspace);
-  if (j == nullptr) {
+void ShardedNameTree::JournalTombstone(Space& s, JournalOp op, const AnnouncerId& id) {
+  if (s.journal == nullptr) {
     return;
   }
   JournalEntry e;
   e.op = op;
   e.announcer = id;
-  j->Append(std::move(e));
-}
-
-bool ShardedNameTree::Routes(const std::string& vspace) const {
-  return spaces_.count(vspace) > 0;
-}
-
-std::vector<std::string> ShardedNameTree::RoutedSpaces() const {
-  std::vector<std::string> out;
-  out.reserve(spaces_.size());
-  for (const auto& [space, shards] : spaces_) {
-    out.push_back(space);
-  }
-  return out;
-}
-
-size_t ShardedNameTree::ShardCountOf(const std::string& vspace) const {
-  auto it = spaces_.find(vspace);
-  return it == spaces_.end() ? 0 : it->second.size();
-}
-
-size_t ShardedNameTree::TotalShardCount() const {
-  size_t n = 0;
-  for (const auto& [space, shards] : spaces_) {
-    n += shards.size();
-  }
-  return n;
-}
-
-size_t ShardedNameTree::FallbackIndex(const NameSpecifier& name) const {
-  if (options_.fallback_shards <= 1 || name.roots().empty()) {
-    return 0;
-  }
-  return std::hash<std::string>{}(name.roots().front().attribute) % options_.fallback_shards;
-}
-
-const std::vector<std::unique_ptr<ShardedNameTree::Shard>>* ShardedNameTree::ShardsOf(
-    const std::string& vspace) const {
-  auto it = spaces_.find(vspace);
-  return it == spaces_.end() ? nullptr : &it->second;
+  s.journal->Append(std::move(e));
 }
 
 ShardedNameTree::UpsertResult ShardedNameTree::Upsert(const std::string& vspace,
                                                       const NameSpecifier& name,
                                                       const NameRecord& info) {
-  auto it = spaces_.find(vspace);
-  if (it == spaces_.end()) {
-    UpsertResult r;
+  UpsertResult r;
+  Space* s = SpaceOf(vspace);
+  if (s == nullptr) {
     r.routed = false;
     return r;
   }
-  auto& shards = it->second;
-  const size_t target = shards.size() > 1 ? FallbackIndex(name) : 0;
-
-  // Compile once; the shared intern table makes the compiled form valid on
-  // every shard and both left-right sides (the replay reuses it too).
-  const CompiledName compiled = CompiledName::ForUpdate(name, symbols_.get());
-
-  // Lock the whole space so the cross-shard probe and the move are atomic
-  // against other writers (shards of one space share a writer under load, so
-  // this does not serialize independent spaces).
-  std::vector<std::unique_lock<std::mutex>> locks;
-  if (options_.concurrent) {
-    locks.reserve(shards.size());
-    for (auto& s : shards) {
-      locks.emplace_back(s->write_mu);
-    }
-  }
-
-  // Service mobility across fallback shards: a re-announcement whose first
-  // attribute changed hashes elsewhere; evict the old graft first so the
-  // store never holds the announcer twice (what one tree's rename would do).
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (i == target) {
-      continue;
-    }
-    const NameRecord* old_rec = ReadSide(*shards[i]).Find(info.announcer);
-    if (old_rec == nullptr) {
-      continue;
-    }
-    if (info.version < old_rec->version) {
-      UpsertResult r;
-      r.kind = NameTree::UpsertOutcome::kIgnored;
-      return r;
-    }
-    AnnouncerId id = info.announcer;
-    ApplyLocked(*shards[i], [&id](NameTree& t) { return t.Remove(id); });
-    auto out = ApplyLocked(*shards[target],
-                           [&](NameTree& t) { return t.Upsert(name, compiled, info); });
-    UpsertResult r;
-    r.kind = out.kind == NameTree::UpsertOutcome::kIgnored
-                 ? NameTree::UpsertOutcome::kIgnored
-                 : NameTree::UpsertOutcome::kRenamed;
-    FillResult(r, *shards[target], out.record, out.version_advanced);
-    if (r.name.has_value() && r.record.has_value()) {
-      JournalUpsert(vspace, *r.name, *r.record);
-    }
+  ++s->updates;
+  const NameTree::UpsertOutcome out = s->tree.Upsert(name, info);
+  r.kind = out.kind;
+  // A same-version kRefreshed carries no payload: its callers never consume
+  // it and the refresh path stays copy-free. A kRefreshed that ADVANCED the
+  // version is the announcer's liveness heartbeat: it is detached so the
+  // journal records it and digest serials move, which is how replicas past
+  // the first hop keep starved copies leased (version-unchanged refreshes
+  // never reach them otherwise — they are neither flooded nor journaled).
+  if (out.record == nullptr || out.kind == NameTree::UpsertOutcome::kIgnored ||
+      (out.kind == NameTree::UpsertOutcome::kRefreshed && !out.version_advanced)) {
     return r;
   }
-
-  auto out =
-      ApplyLocked(*shards[target], [&](NameTree& t) { return t.Upsert(name, compiled, info); });
-  UpsertResult r;
-  r.kind = out.kind;
-  FillResult(r, *shards[target], out.record, out.version_advanced);
-  // FillResult populates name/record exactly for the journaled outcomes
-  // (kNew / kChanged / kRenamed, plus version-advancing refreshes — the
-  // announcer heartbeat); same-version refreshes and ignores stay off the
-  // journal.
-  if (r.name.has_value() && r.record.has_value()) {
-    JournalUpsert(vspace, *r.name, *r.record);
-  }
+  r.name = s->tree.ExtractName(out.record);
+  r.record = out.record->Detached();
+  JournalUpsert(*s, *r.name, *r.record);
   return r;
 }
 
-void ShardedNameTree::FillResult(UpsertResult& r, const Shard& shard,
-                                 const NameRecord* rec, bool version_advanced) const {
-  // Detach under the caller-held write lock: no flip can retire the read side
-  // while we copy. A same-version kRefreshed carries no payload — its callers
-  // never consume it and the refresh path stays copy-free. A kRefreshed that
-  // ADVANCED the version is the announcer's liveness heartbeat: it is
-  // detached so the journal records it and digest serials move, which is how
-  // replicas past the first hop keep starved copies leased (version-unchanged
-  // refreshes never reach them otherwise — they are neither flooded nor
-  // journaled).
-  if (rec == nullptr || r.kind == NameTree::UpsertOutcome::kIgnored ||
-      (r.kind == NameTree::UpsertOutcome::kRefreshed && !version_advanced)) {
-    return;
-  }
-  const NameTree& t = ReadSide(shard);
-  r.name = t.ExtractName(rec);
-  r.record = rec->Detached();
-}
-
-size_t ShardedNameTree::UpsertBatch(
-    const std::string& vspace,
-    const std::vector<std::pair<NameSpecifier, NameRecord>>& batch) {
-  auto it = spaces_.find(vspace);
-  if (it == spaces_.end() || batch.empty()) {
-    return 0;
-  }
-  auto& shards = it->second;
-
-  std::vector<std::unique_lock<std::mutex>> locks;
-  if (options_.concurrent) {
-    locks.reserve(shards.size());
-    for (auto& s : shards) {
-      locks.emplace_back(s->write_mu);
-    }
-  }
-
-  // Route entries to their shard; evict cross-shard movers first (rare). An
-  // entry staler than the announcer's record in another shard is dropped
-  // outright — routing it to the target shard would duplicate the announcer,
-  // since the target tree's own version guard only sees its local record.
-  // Each surviving entry is compiled exactly once; the compiled form is
-  // replayed verbatim on both left-right sides of its shard.
-  struct RoutedOp {
-    const std::pair<NameSpecifier, NameRecord>* entry;
-    CompiledName compiled;
-  };
-  std::vector<std::vector<RoutedOp>> per_shard(shards.size());
-  for (const auto& entry : batch) {
-    const size_t target = shards.size() > 1 ? FallbackIndex(entry.first) : 0;
-    bool stale = false;
-    for (size_t i = 0; i < shards.size(); ++i) {
-      if (i == target) {
-        continue;
-      }
-      const NameRecord* old_rec = ReadSide(*shards[i]).Find(entry.second.announcer);
-      if (old_rec == nullptr) {
-        continue;
-      }
-      if (entry.second.version < old_rec->version) {
-        stale = true;  // mirror Upsert's kIgnored
-        break;
-      }
-      AnnouncerId id = entry.second.announcer;
-      ApplyLocked(*shards[i], [&id](NameTree& t) { return t.Remove(id); });
-    }
-    if (stale) {
-      continue;
-    }
-    per_shard[target].push_back(
-        RoutedOp{&entry, CompiledName::ForUpdate(entry.first, symbols_.get())});
-  }
-
-  size_t applied = 0;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (per_shard[i].empty()) {
-      continue;
-    }
-    // One snapshot publish covers the whole per-shard batch. The lambda
-    // reports per-op outcomes by return value (not by side effect): the
-    // left-right protocol applies it twice, and only the first application's
-    // result is used — journal capture happens here, outside the lambda.
-    std::vector<std::pair<NameTree::UpsertOutcome::Kind, bool>> kinds =
-        ApplyLocked(*shards[i], [&ops = per_shard[i]](NameTree& t) {
-          std::vector<std::pair<NameTree::UpsertOutcome::Kind, bool>> out;
-          out.reserve(ops.size());
-          for (const auto& op : ops) {
-            auto o = t.Upsert(op.entry->first, op.compiled, op.entry->second);
-            out.emplace_back(o.kind, o.version_advanced);
-          }
-          return out;
-        });
-    for (size_t k = 0; k < kinds.size(); ++k) {
-      if (kinds[k].first == NameTree::UpsertOutcome::kIgnored) {
-        continue;
-      }
-      ++applied;
-      if (kinds[k].first != NameTree::UpsertOutcome::kRefreshed || kinds[k].second) {
-        // The stored record equals the batch input (Upsert copies it
-        // verbatim), so the journal snapshot comes from the input entry.
-        // Version-advancing refreshes journal too: they are the announcer's
-        // liveness heartbeat and must move the digest serial.
-        JournalUpsert(vspace, per_shard[i][k].entry->first, per_shard[i][k].entry->second);
-      }
-    }
-  }
-  return applied;
-}
-
 bool ShardedNameTree::Remove(const std::string& vspace, const AnnouncerId& id) {
-  auto it = spaces_.find(vspace);
-  if (it == spaces_.end()) {
+  Space* s = SpaceOf(vspace);
+  if (s == nullptr || s->tree.Find(id) == nullptr) {
     return false;
   }
-  auto& shards = it->second;
-  std::vector<std::unique_lock<std::mutex>> locks;
-  if (options_.concurrent) {
-    locks.reserve(shards.size());
-    for (auto& s : shards) {
-      locks.emplace_back(s->write_mu);
-    }
-  }
-  for (auto& s : shards) {
-    if (ReadSide(*s).Find(id) != nullptr) {
-      const bool removed = ApplyLocked(*s, [&id](NameTree& t) { return t.Remove(id); });
-      if (removed) {
-        JournalTombstone(vspace, JournalOp::kDelete, id);
-      }
-      return removed;
-    }
-  }
-  return false;
+  ++s->updates;
+  s->tree.Remove(id);
+  JournalTombstone(*s, JournalOp::kDelete, id);
+  return true;
 }
 
 bool ShardedNameTree::RefreshExpiry(const std::string& vspace, const AnnouncerId& id,
                                     TimePoint expires) {
-  auto it = spaces_.find(vspace);
-  if (it == spaces_.end()) {
+  Space* s = SpaceOf(vspace);
+  if (s == nullptr || s->tree.Find(id) == nullptr) {
     return false;
   }
-  auto& shards = it->second;
-  std::vector<std::unique_lock<std::mutex>> locks;
-  if (options_.concurrent) {
-    locks.reserve(shards.size());
-    for (auto& s : shards) {
-      locks.emplace_back(s->write_mu);
-    }
-  }
-  for (auto& s : shards) {
-    if (ReadSide(*s).Find(id) != nullptr) {
-      return ApplyLocked(*s, [&](NameTree& t) { return t.RefreshExpiry(id, expires); });
-    }
-  }
-  return false;
+  ++s->updates;
+  return s->tree.RefreshExpiry(id, expires);
 }
 
 size_t ShardedNameTree::ExpireBefore(
     TimePoint now, std::vector<std::pair<std::string, AnnouncerId>>* expired) {
   size_t removed = 0;
-  for (auto& [space, shards] : spaces_) {
-    for (auto& s : shards) {
-      std::unique_lock<std::mutex> lock(s->write_mu, std::defer_lock);
-      if (options_.concurrent) {
-        lock.lock();
-      }
-      // Peek is safe under the write lock: nobody can flip read_idx.
-      if (!ReadSide(*s).HasExpiryDueBefore(now)) {
-        continue;
-      }
-      // The sweep reports who it removed by return value: ApplyLocked runs
-      // the lambda twice in concurrent mode, and only the first (published)
-      // application's list feeds the journal.
-      std::vector<AnnouncerId> swept = ApplyLocked(*s, [now](NameTree& t) {
-        std::vector<AnnouncerId> ids;
-        t.ExpireBefore(now, &ids);
-        return ids;
-      });
-      removed += swept.size();
-      for (const AnnouncerId& id : swept) {
-        JournalTombstone(space, JournalOp::kExpire, id);
-        if (expired != nullptr) {
-          expired->emplace_back(space, id);
-        }
+  std::vector<AnnouncerId> swept;
+  for (auto& [space, s] : spaces_) {
+    if (!s.tree.HasExpiryDueBefore(now)) {
+      continue;
+    }
+    ++s.updates;
+    swept.clear();
+    s.tree.ExpireBefore(now, &swept);
+    removed += swept.size();
+    for (const AnnouncerId& id : swept) {
+      JournalTombstone(s, JournalOp::kExpire, id);
+      if (expired != nullptr) {
+        expired->emplace_back(space, id);
       }
     }
   }
   return removed;
 }
 
+void ShardedNameTree::ForEachShardMatch(const std::string& vspace, const NameSpecifier& query,
+                                        const ShardMatchFn& fn) const {
+  const Space* s = SpaceOf(vspace);
+  if (s == nullptr) {
+    return;
+  }
+  ++s->lookups;
+  fn(0, s->tree, s->tree.Lookup(query));
+}
+
 std::vector<NameRecord> ShardedNameTree::Lookup(const std::string& vspace,
                                                 const NameSpecifier& query) const {
-  const auto* shards = ShardsOf(vspace);
   std::vector<NameRecord> out;
-  if (shards == nullptr) {
-    return out;
-  }
-  // One compile serves every shard probe (ForQuery never mutates the table).
-  const CompiledName compiled = CompiledName::ForQuery(query, *symbols_);
-  for (const auto& s : *shards) {
-    ReadShard(*s, [&](const NameTree& t) {
-      for (const NameRecord* rec : t.Lookup(compiled)) {
-        out.push_back(rec->Detached());
-      }
-      return 0;
-    });
-  }
-  std::sort(out.begin(), out.end(), [](const NameRecord& a, const NameRecord& b) {
-    if (!(a.announcer == b.announcer)) {
-      return a.announcer < b.announcer;
-    }
-    return a.version > b.version;  // duplicate announcer: keep the newest
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const NameRecord& a, const NameRecord& b) {
-                          return a.announcer == b.announcer;
-                        }),
-            out.end());
+  ForEachShardMatch(vspace, query,
+                    [&out](size_t, const NameTree&, const std::vector<const NameRecord*>& found) {
+                      out.reserve(found.size());
+                      for (const NameRecord* rec : found) {
+                        out.push_back(rec->Detached());
+                      }
+                    });
   return out;
 }
 
 std::vector<ShardedNameTree::NamedRecord> ShardedNameTree::LookupNamed(
     const std::string& vspace, const NameSpecifier& query) const {
-  const auto* shards = ShardsOf(vspace);
   std::vector<NamedRecord> out;
-  if (shards == nullptr) {
-    return out;
-  }
-  const CompiledName compiled = CompiledName::ForQuery(query, *symbols_);
-  for (const auto& s : *shards) {
-    ReadShard(*s, [&](const NameTree& t) {
-      for (const NameRecord* rec : t.Lookup(compiled)) {
-        out.push_back(NamedRecord{t.ExtractName(rec), rec->Detached()});
-      }
-      return 0;
-    });
-  }
-  std::sort(out.begin(), out.end(), [](const NamedRecord& a, const NamedRecord& b) {
-    if (!(a.record.announcer == b.record.announcer)) {
-      return a.record.announcer < b.record.announcer;
-    }
-    return a.record.version > b.record.version;
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const NamedRecord& a, const NamedRecord& b) {
-                          return a.record.announcer == b.record.announcer;
-                        }),
-            out.end());
+  ForEachShardMatch(vspace, query,
+                    [&out](size_t, const NameTree& tree,
+                           const std::vector<const NameRecord*>& found) {
+                      out.reserve(found.size());
+                      for (const NameRecord* rec : found) {
+                        out.push_back(NamedRecord{tree.ExtractName(rec), rec->Detached()});
+                      }
+                    });
   return out;
 }
 
 std::optional<NameSpecifier> ShardedNameTree::GetName(const std::string& vspace,
                                                       const AnnouncerId& id) const {
-  const auto* shards = ShardsOf(vspace);
-  if (shards == nullptr) {
+  const Space* s = SpaceOf(vspace);
+  const NameRecord* rec = s == nullptr ? nullptr : s->tree.Find(id);
+  if (rec == nullptr) {
     return std::nullopt;
   }
-  for (const auto& s : *shards) {
-    std::optional<NameSpecifier> name = ReadShard(*s, [&](const NameTree& t) {
-      const NameRecord* rec = t.Find(id);
-      return rec == nullptr ? std::optional<NameSpecifier>()
-                            : std::optional<NameSpecifier>(t.ExtractName(rec));
-    });
-    if (name.has_value()) {
-      return name;
-    }
-  }
-  return std::nullopt;
+  return s->tree.ExtractName(rec);
 }
 
 std::optional<NameRecord> ShardedNameTree::Find(const std::string& vspace,
                                                 const AnnouncerId& id) const {
-  const auto* shards = ShardsOf(vspace);
-  if (shards == nullptr) {
+  const Space* s = SpaceOf(vspace);
+  const NameRecord* rec = s == nullptr ? nullptr : s->tree.Find(id);
+  if (rec == nullptr) {
     return std::nullopt;
   }
-  for (const auto& s : *shards) {
-    std::optional<NameRecord> rec = ReadShard(*s, [&](const NameTree& t) {
-      const NameRecord* r = t.Find(id);
-      return r == nullptr ? std::optional<NameRecord>() : std::optional<NameRecord>(r->Detached());
-    });
-    if (rec.has_value()) {
-      return rec;
-    }
-  }
-  return std::nullopt;
+  return rec->Detached();
 }
 
 size_t ShardedNameTree::RecordCount(const std::string& vspace) const {
-  const auto* shards = ShardsOf(vspace);
-  if (shards == nullptr) {
-    return 0;
-  }
-  size_t n = 0;
-  for (const auto& s : *shards) {
-    n += ReadShard(*s, [](const NameTree& t) { return t.record_count(); });
-  }
-  return n;
+  const Space* s = SpaceOf(vspace);
+  return s == nullptr ? 0 : s->tree.record_count();
 }
 
 size_t ShardedNameTree::TotalRecordCount() const {
   size_t n = 0;
-  for (const auto& [space, shards] : spaces_) {
-    for (const auto& s : shards) {
-      n += ReadShard(*s, [](const NameTree& t) { return t.record_count(); });
-    }
+  for (const auto& [space, s] : spaces_) {
+    n += s.tree.record_count();
   }
   return n;
 }
 
-void ShardedNameTree::ForEachShardMatch(const std::string& vspace, const NameSpecifier& query,
-                                        const ShardMatchFn& fn) const {
-  const auto* shards = ShardsOf(vspace);
-  if (shards == nullptr) {
-    return;
-  }
-  const CompiledName compiled = CompiledName::ForQuery(query, *symbols_);
-  auto scan = [&](size_t i) {
-    // Each pool worker's thread-local LookupScratch serves its shard scans.
-    ReadShard(*(*shards)[i], [&](const NameTree& t) {
-      fn(i, t, t.Lookup(compiled));
-      return 0;
-    });
-  };
-  if (options_.pool != nullptr && options_.pool->thread_count() > 0 && shards->size() > 1) {
-    options_.pool->RunAll(shards->size(), scan);
-  } else {
-    for (size_t i = 0; i < shards->size(); ++i) {
-      scan(i);
-    }
-  }
-}
-
-void ShardedNameTree::ForEachShardTree(const std::string& vspace,
-                                       const std::function<void(const NameTree&)>& fn) const {
-  const auto* shards = ShardsOf(vspace);
-  if (shards == nullptr) {
-    return;
-  }
-  for (const auto& s : *shards) {
-    ReadShard(*s, [&](const NameTree& t) {
-      fn(t);
-      return 0;
-    });
-  }
-}
-
 std::vector<ShardedNameTree::ShardStats> ShardedNameTree::PerShardStats() const {
   std::vector<ShardStats> out;
-  for (const auto& [space, shards] : spaces_) {
-    for (const auto& s : shards) {
-      ShardStats st;
-      st.vspace = space;
-      st.sub = s->sub;
-      NameTree::Stats ts = ReadShard(*s, [](const NameTree& t) { return t.ComputeStats(); });
-      st.records = ts.records;
-      st.bytes = ts.bytes;
-      st.lookups = s->lookups.load(std::memory_order_relaxed);
-      st.updates = s->updates.load(std::memory_order_relaxed);
-      out.push_back(std::move(st));
-    }
+  out.reserve(spaces_.size());
+  for (const auto& [space, s] : spaces_) {
+    const NameTree::Stats ts = s.tree.ComputeStats();
+    out.push_back(ShardStats{space, ts.records, ts.bytes, s.lookups, s.updates});
   }
   return out;
 }
 
 NameTree::Stats ShardedNameTree::ComputeStats() const {
   NameTree::Stats total;
-  for (const auto& [space, shards] : spaces_) {
-    for (const auto& s : shards) {
-      NameTree::Stats ts = ReadShard(*s, [](const NameTree& t) { return t.ComputeStats(); });
-      total.attribute_nodes += ts.attribute_nodes;
-      total.value_nodes += ts.value_nodes;
-      total.records += ts.records;
-      total.expiry_heap_entries += ts.expiry_heap_entries;
-      total.bytes += ts.bytes;
-      total.index_bytes += ts.index_bytes;
-    }
+  for (const auto& [space, s] : spaces_) {
+    const NameTree::Stats ts = s.tree.ComputeStats();
+    total.attribute_nodes += ts.attribute_nodes;
+    total.value_nodes += ts.value_nodes;
+    total.records += ts.records;
+    total.expiry_heap_entries += ts.expiry_heap_entries;
+    total.bytes += ts.bytes;
+    total.index_bytes += ts.index_bytes;
   }
   // The shared intern table is part of the store's footprint; count it
   // exactly once (per-tree stats skip it because it is shared).
-  total.symbol_bytes = symbols_->MemoryBytes();
+  total.symbol_bytes = options_.tree_options.symbols->MemoryBytes();
   total.bytes += total.symbol_bytes;
   return total;
 }
 
 PostingIndexStats ShardedNameTree::IndexStatsTotal() const {
   PostingIndexStats total;
-  for (const auto& [space, shards] : spaces_) {
-    for (const auto& s : shards) {
-      // Counters accumulate on whichever side served each lookup, and flips
-      // interleave the sides arbitrarily — sum both. Size fields describe
-      // state, not events: count the read side's only. The shard write lock
-      // quiesces the writer so the non-atomic size/structural fields are
-      // safe to read on both sides (readers only touch atomic counters).
-      if (!options_.concurrent) {
-        total += s->sides[0]->index_stats();
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(s->write_mu);
-      const int r = s->read_idx.load(std::memory_order_seq_cst);
-      total += s->sides[r]->index_stats();
-      PostingIndexStats retired = s->sides[1 - r]->index_stats();
-      retired.posting_keys = 0;
-      retired.bytes = 0;
-      total += retired;
-    }
+  for (const auto& [space, s] : spaces_) {
+    total += s.tree.index_stats();
   }
   return total;
 }
 
 Status ShardedNameTree::CheckInvariants() const {
-  for (const auto& [space, shards] : spaces_) {
-    // Single-announcer invariant across the shards of one space: the
-    // cross-shard eviction in Upsert/UpsertBatch must never leave an
-    // announcer grafted in two fallback shards.
-    std::set<AnnouncerId> seen;
-    for (const auto& s : shards) {
-      std::unique_lock<std::mutex> lock(s->write_mu, std::defer_lock);
-      if (options_.concurrent) {
-        lock.lock();
-      }
-      Status st = s->sides[0]->CheckInvariants();
-      if (!st.ok()) {
-        return st;
-      }
-      for (const NameRecord* rec : s->sides[0]->AllRecords()) {
-        if (!seen.insert(rec->announcer).second) {
-          return InternalError("announcer " + rec->announcer.ToString() +
-                               " present in two shards of space '" + space + "'");
-        }
-      }
-      if (!options_.concurrent) {
-        continue;
-      }
-      st = s->sides[1]->CheckInvariants();
-      if (!st.ok()) {
-        return st;
-      }
-      // The two left-right sides must be replicas: same records, same names.
-      const NameTree& a = *s->sides[0];
-      const NameTree& b = *s->sides[1];
-      std::vector<const NameRecord*> ra = a.AllRecords();
-      std::vector<const NameRecord*> rb = b.AllRecords();
-      if (ra.size() != rb.size()) {
-        return InternalError("left-right sides diverge in record count for shard " + space +
-                             "/" + std::to_string(s->sub));
-      }
-      for (size_t i = 0; i < ra.size(); ++i) {
-        const bool same = ra[i]->announcer == rb[i]->announcer &&
-                          ra[i]->version == rb[i]->version &&
-                          ra[i]->expires == rb[i]->expires &&
-                          ra[i]->app_metric == rb[i]->app_metric &&
-                          ra[i]->endpoint == rb[i]->endpoint && ra[i]->route == rb[i]->route &&
-                          a.ExtractName(ra[i]) == b.ExtractName(rb[i]);
-        if (!same) {
-          return InternalError("left-right sides diverge at record " +
-                               ra[i]->announcer.ToString() + " in shard " + space + "/" +
-                               std::to_string(s->sub));
-        }
-      }
+  for (const auto& [space, s] : spaces_) {
+    Status st = s.tree.CheckInvariants();
+    if (!st.ok()) {
+      return st;
     }
   }
   return Status::Ok();
 }
 
-NameTree* ShardedNameTree::Tree(const std::string& vspace, size_t sub) {
-  auto it = spaces_.find(vspace);
-  if (it == spaces_.end() || sub >= it->second.size()) {
-    return nullptr;
-  }
-  Shard& s = *it->second[sub];
-  return s.sides[options_.concurrent ? s.read_idx.load(std::memory_order_seq_cst) : 0].get();
+NameTree* ShardedNameTree::Tree(const std::string& vspace) {
+  Space* s = SpaceOf(vspace);
+  return s == nullptr ? nullptr : &s->tree;
 }
 
-const NameTree* ShardedNameTree::Tree(const std::string& vspace, size_t sub) const {
-  return const_cast<ShardedNameTree*>(this)->Tree(vspace, sub);
+const NameTree* ShardedNameTree::Tree(const std::string& vspace) const {
+  const Space* s = SpaceOf(vspace);
+  return s == nullptr ? nullptr : &s->tree;
 }
 
 }  // namespace ins

@@ -1,65 +1,30 @@
-// The concurrent sharded lookup core.
+// The resolver's record store: one NameTree per routed virtual space.
 //
-// A ShardedNameTree partitions a resolver's record store into independent
-// shards: one shard per routed virtual space, plus `fallback_shards` shards
-// for the default space "" keyed by a hash of the name's first root attribute
-// (the paper's vspace partitioning, §2.5, extended with hash sharding so a
-// single hot space still scales across threads). With fallback_shards == 1
-// the layout — and every lookup result — is byte-identical to the seed's
-// one-tree-per-space map.
+// The paper gives each virtual space its own name-tree and scales by
+// spreading spaces across resolvers (§2.5, Figure 9); this store is that
+// layout. Each routed space holds one tree plus, when journaling is on, that
+// space's change journal (journal.h). The protocol thread is the only
+// mutator, so the store takes no locks. Every tree shares one append-only
+// intern table, which ComputeStats counts once.
 //
-// Concurrency model (enabled with Options::concurrent):
-//
-//   * Each shard holds TWO NameTree instances in a left-right arrangement:
-//     readers follow an atomic `read_idx` to the published side and never
-//     take a lock; the hot lookup path costs one epoch announcement and one
-//     atomic load.
-//   * Each shard has a single writer at a time (a per-shard write mutex
-//     serializes mutators). A write batch is applied to the stale side,
-//     `read_idx` is flipped (the "epoch snapshot" publish), the global epoch
-//     advances, and the writer waits for readers announced before the flip
-//     to drain (common/epoch.h) before replaying the batch on the retired
-//     side. Readers therefore always see a tree state that existed at some
-//     epoch — never a torn intermediate.
-//   * Mutating operations are deterministic, so replaying them on the second
-//     side reproduces the published side exactly.
-//
-// LOOKUP-NAME over the store is the union of per-shard lookups. For the
-// named-space shards this is exact. For fallback_shards > 1 the union
-// coincides with a monolithic tree exactly when advertisements are
-// schema-complete at each position (see the semantics note in name_tree.h);
-// the differential tests pin this equivalence on schema-complete workloads.
-//
-// One deliberate relaxation vs a single tree: a cross-shard rename (service
-// mobility whose new first attribute hashes to a different fallback shard)
-// publishes the eviction and the re-insert as two per-shard snapshots, so a
-// concurrent reader between the flips can transiently miss the moving
-// announcer — it never observes it twice, and the next snapshot restores it.
-// A single tree's rename is atomic; fusing two shards' flips would need a
-// store-wide write lock on the reader path, which the design rejects.
-//
-// Shard topology changes (AddSpace/RemoveSpace/set-options) are NOT safe
-// concurrently with readers; configure the layout before spinning up reader
-// threads, as the resolver does at startup.
+// The class keeps the name ShardedNameTree (each space's tree is a "shard"),
+// and ForEachShardMatch, IndexStatsTotal, TotalRecordCount, ComputeStats and
+// Find keep their signatures: the inr_hop benchmark calls them.
 
 #ifndef INS_NAMETREE_SHARDED_NAME_TREE_H_
 #define INS_NAMETREE_SHARDED_NAME_TREE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ins/common/clock.h"
-#include "ins/common/epoch.h"
 #include "ins/common/status.h"
-#include "ins/common/worker_pool.h"
 #include "ins/name/name_specifier.h"
 #include "ins/nametree/journal.h"
 #include "ins/nametree/name_tree.h"
@@ -69,17 +34,7 @@ namespace ins {
 class ShardedNameTree {
  public:
   struct Options {
-    // Shards the default space "" is split into (>= 1). Shard of a name =
-    // hash(first root attribute) % fallback_shards; a query against ""
-    // fans out to all of them and unions the results.
-    size_t fallback_shards = 1;
-    // Left-right + epoch-protected reads. Off (the default) keeps a single
-    // tree per shard with zero synchronization — the protocol-thread mode.
-    bool concurrent = false;
     NameTree::Options tree_options;
-    // Used by ForEachShardMatch to fan shard scans out across threads.
-    // Not owned; may be null (scans run inline).
-    WorkerPool* pool = nullptr;
     // Ring capacity of the per-vspace change journal (journal.h). 0 — the
     // seed default — disables journaling entirely: write paths skip capture
     // and journal() returns nullptr. Enabled by the replication subsystem.
@@ -89,69 +44,42 @@ class ShardedNameTree {
   ShardedNameTree() : ShardedNameTree(Options{}) {}
   explicit ShardedNameTree(Options options);
 
-  // The intern table shared by every shard and both left-right sides. A
-  // CompiledName built against it (ForUpdate/ForQuery) is valid on any
-  // shard's tree; store operations compile their specifier once and fan the
-  // compiled form out.
-  const SymbolTable& symbols() const { return *symbols_; }
-  SymbolTable* mutable_symbols() { return symbols_.get(); }
-
   ShardedNameTree(const ShardedNameTree&) = delete;
   ShardedNameTree& operator=(const ShardedNameTree&) = delete;
 
-  // ---- Shard topology (not thread-safe vs concurrent readers) ----
+  // ---- Routed spaces ----
 
-  // Registers a space. "" (always implicitly routed here only if added, to
-  // mirror VspaceManager) gets `fallback_shards` shards; named spaces one.
+  // Registers a space (a no-op when already routed).
   void AddSpace(const std::string& vspace);
   bool RemoveSpace(const std::string& vspace);
   bool Routes(const std::string& vspace) const;
   std::vector<std::string> RoutedSpaces() const;
-  size_t ShardCountOf(const std::string& vspace) const;
-  size_t TotalShardCount() const;
 
-  // ---- Writer API (serialized per shard; any thread in concurrent mode) ----
+  // ---- Writes ----
 
   struct UpsertResult {
     NameTree::UpsertOutcome::Kind kind = NameTree::UpsertOutcome::kIgnored;
-    // Detached snapshot of the stored record and its canonical name
-    // (GET-NAME), captured under the shard write lock so they stay valid
-    // regardless of later writes from any thread. Populated for kNew /
-    // kChanged / kRenamed — the outcomes callers propagate; left empty for
-    // kRefreshed / kIgnored to keep the soft-state refresh path cheap.
+    // Detached copies of the stored record and its canonical name
+    // (GET-NAME). Populated for kNew / kChanged / kRenamed — the outcomes
+    // callers propagate — and for version-advancing refreshes; left empty
+    // for same-version refreshes and kIgnored to keep the soft-state refresh
+    // path cheap.
     std::optional<NameSpecifier> name;
     std::optional<NameRecord> record;
     bool routed = true;  // false: the name's space is not routed here
   };
 
-  // Inserts or refreshes under the shard of `vspace` chosen by the fallback
-  // hash of `name`. If the announcer currently lives in a *different* shard
-  // of the same space (its first attribute changed), the old record is
-  // removed first and the outcome is kRenamed — the same outcome a single
-  // tree would have reported. Concurrent-mode caveat: the remove and the
-  // insert publish as two snapshots (one per shard), so a reader between the
-  // flips can transiently miss the announcer entirely — unlike a single
-  // tree, whose rename is atomic. The store never holds the announcer twice;
-  // soft-state re-announcement bounds the anomaly to one rename window.
+  // Inserts, refreshes or renames `info.announcer` in the tree of `vspace`.
+  // A version older than the stored one is ignored (kIgnored).
   UpsertResult Upsert(const std::string& vspace, const NameSpecifier& name,
                       const NameRecord& info);
 
-  // Applies a batch of upserts to one space with one snapshot publish per
-  // touched shard (the batch-apply path writers should prefer under load).
-  // Entries staler than the announcer's record in ANY shard are dropped,
-  // exactly as Upsert's kIgnored. Cross-shard movers see the same transient
-  // miss window as Upsert (evictions publish before the batched inserts).
-  // Returns how many entries were applied (not kIgnored).
-  size_t UpsertBatch(const std::string& vspace,
-                     const std::vector<std::pair<NameSpecifier, NameRecord>>& batch);
-
-  // Removes `id` from whichever shard of `vspace` holds it.
   bool Remove(const std::string& vspace, const AnnouncerId& id);
 
   // Extends `id`'s expiry to max(current, expires).
   bool RefreshExpiry(const std::string& vspace, const AnnouncerId& id, TimePoint expires);
 
-  // Sweeps every shard; one snapshot publish per shard that expired records.
+  // Sweeps every space; `expired` (optional) receives who was removed.
   size_t ExpireBefore(TimePoint now,
                       std::vector<std::pair<std::string, AnnouncerId>>* expired = nullptr);
 
@@ -166,18 +94,18 @@ class ShardedNameTree {
   // Convenience: the journal's head serial, 0 when absent.
   uint64_t JournalHead(const std::string& vspace) const;
 
-  // ---- Reader API (lock-free hot path in concurrent mode) ----
+  // ---- Reads ----
 
-  // LOOKUP-NAME across the shards of `vspace`: detached record copies,
-  // sorted by announcer. Empty when the space is unrouted.
+  // LOOKUP-NAME in `vspace`: detached record copies, sorted by announcer.
+  // Empty when the space is unrouted.
   std::vector<NameRecord> Lookup(const std::string& vspace,
                                  const NameSpecifier& query) const;
 
   struct NamedRecord {
-    NameSpecifier name;  // GET-NAME of the record at the snapshot
+    NameSpecifier name;  // GET-NAME of the record
     NameRecord record;
   };
-  // Lookup plus GET-NAME per match, all against one per-shard snapshot.
+  // Lookup plus GET-NAME per match, sorted by announcer.
   std::vector<NamedRecord> LookupNamed(const std::string& vspace,
                                        const NameSpecifier& query) const;
 
@@ -191,141 +119,61 @@ class ShardedNameTree {
   size_t RecordCount(const std::string& vspace) const;
   size_t TotalRecordCount() const;
 
-  // Runs `fn(shard_index, tree, matches)` for every shard of `vspace`, with
-  // an epoch guard held around each call, fanning out on the worker pool when
-  // one is configured (fn must then be safe to call from multiple threads;
-  // use per-shard result slots and merge after). shard_index is dense in
-  // [0, ShardCountOf(vspace)). Must not be called from a pool worker.
+  // LOOKUP-NAME without copies: runs `fn(0, tree, matches)` once on the
+  // tree of `vspace`, matches sorted by announcer; never runs when the space
+  // is unrouted.
   using ShardMatchFn = std::function<void(
       size_t shard_index, const NameTree& tree,
       const std::vector<const NameRecord*>& matches)>;
   void ForEachShardMatch(const std::string& vspace, const NameSpecifier& query,
                          const ShardMatchFn& fn) const;
 
-  // Visits each shard's read-side tree (inline, guard held per shard).
-  void ForEachShardTree(const std::string& vspace,
-                        const std::function<void(const NameTree&)>& fn) const;
-
   // ---- Accounting and invariants ----
 
   struct ShardStats {
     std::string vspace;
-    size_t sub = 0;          // fallback sub-shard index; 0 for named spaces
     size_t records = 0;
-    size_t bytes = 0;        // read-side tree bytes (the Fig-13 accounting)
-    uint64_t lookups = 0;    // reader ops served by this shard
-    uint64_t updates = 0;    // write batches applied to this shard
+    size_t bytes = 0;        // tree bytes (the Fig-13 accounting)
+    uint64_t lookups = 0;    // LOOKUP-NAME calls served by this space
+    uint64_t updates = 0;    // writes applied to this space's tree
   };
+  // One entry per routed space, in space order.
   std::vector<ShardStats> PerShardStats() const;
-  // Aggregate over read sides; bytes sum to the same Fig-13 total a single
-  // tree would report (per-shard accounting, no double count of the retired
-  // left-right sides).
+  // Aggregate over every tree, the shared intern table counted once.
   NameTree::Stats ComputeStats() const;
-  // Posting-index counters summed across every shard — lookup-outcome
-  // counters from BOTH left-right sides (lookups land on whichever side was
-  // published, and flips interleave them), size fields (posting_keys, bytes)
-  // from the read side only. Zeroed struct when the index is disabled.
+  // Posting-index counters summed across every tree. Zeroed struct when the
+  // index is disabled.
   PostingIndexStats IndexStatsTotal() const;
   Status CheckInvariants() const;
 
-  // ---- Compat accessors (inline mode / tests) ----
-
-  // The read-side tree of shard `sub` of a routed space; nullptr when
-  // unrouted. Mutating through this pointer is only legal in inline
-  // (non-concurrent) mode — the seed's single-threaded protocol path.
-  NameTree* Tree(const std::string& vspace, size_t sub = 0);
-  const NameTree* Tree(const std::string& vspace, size_t sub = 0) const;
-
-  const Options& options() const { return options_; }
+  // The tree of a routed space; nullptr when unrouted.
+  NameTree* Tree(const std::string& vspace);
+  const NameTree* Tree(const std::string& vspace) const;
 
  private:
-  struct Shard {
-    std::string space;
-    size_t sub = 0;
-    // sides[0] only in inline mode; both in concurrent mode.
-    std::unique_ptr<NameTree> sides[2];
-    std::atomic<int> read_idx{0};
-    mutable std::mutex write_mu;
-    mutable std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> updates{0};
+  struct Space {
+    explicit Space(const Options& options)
+        : tree(options.tree_options),
+          journal(options.journal_capacity > 0
+                      ? std::make_unique<NameJournal>(options.journal_capacity)
+                      : nullptr) {}
+    NameTree tree;
+    std::unique_ptr<NameJournal> journal;
+    mutable uint64_t lookups = 0;
+    uint64_t updates = 0;
   };
 
-  Shard* ShardFor(const std::string& vspace, const NameSpecifier& name);
-  const std::vector<std::unique_ptr<Shard>>* ShardsOf(const std::string& vspace) const;
-  size_t FallbackIndex(const NameSpecifier& name) const;
+  Space* SpaceOf(const std::string& vspace);
+  const Space* SpaceOf(const std::string& vspace) const;
 
-  // Copies `rec` (and its extracted name) out of `shard`'s read side into
-  // `r`; caller must hold the shard's write lock in concurrent mode.
-  void FillResult(UpsertResult& r, const Shard& shard, const NameRecord* rec,
-                  bool version_advanced = false) const;
+  // Journal capture: no-ops when the space has no journal.
+  static void JournalUpsert(Space& s, const NameSpecifier& name, const NameRecord& record);
+  static void JournalTombstone(Space& s, JournalOp op, const AnnouncerId& id);
 
-  // Journal capture helpers: no-ops when the space has no journal. Called
-  // once per logical write, OUTSIDE ApplyLocked's lambda — the left-right
-  // protocol applies that lambda twice and would double-record.
-  void JournalUpsert(const std::string& vspace, const NameSpecifier& name,
-                     const NameRecord& record);
-  void JournalTombstone(const std::string& vspace, JournalOp op, const AnnouncerId& id);
-
-  // The side readers should use right now (callers in concurrent mode must
-  // hold an epoch guard across the access AND every dereference of the
-  // returned tree).
-  const NameTree& ReadSide(const Shard& s) const {
-    return *s.sides[options_.concurrent ? s.read_idx.load(std::memory_order_seq_cst) : 0];
-  }
-
-  // Left-right write protocol: applies `fn` to the stale side, publishes it,
-  // drains pre-flip readers, replays on the retired side. Returns `fn`'s
-  // result from the application that became the read side. `fn` must be
-  // deterministic. Caller holds s.write_mu in concurrent mode.
-  template <typename Fn>
-  auto ApplyLocked(Shard& s, Fn&& fn) -> decltype(fn(*s.sides[0])) {
-    s.updates.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.concurrent) {
-      return fn(*s.sides[0]);
-    }
-    const int r = s.read_idx.load(std::memory_order_relaxed);
-    auto result = fn(*s.sides[1 - r]);
-    s.read_idx.store(1 - r, std::memory_order_seq_cst);
-    const uint64_t flip_epoch = epochs_.Advance();
-    epochs_.WaitForReadersBefore(flip_epoch);
-    fn(*s.sides[r]);  // replay on the retired side
-    return result;
-  }
-
-  template <typename Fn>
-  auto ApplyToShard(Shard& s, Fn&& fn) -> decltype(fn(*s.sides[0])) {
-    if (!options_.concurrent) {
-      return ApplyLocked(s, std::forward<Fn>(fn));
-    }
-    std::lock_guard<std::mutex> lock(s.write_mu);
-    return ApplyLocked(s, std::forward<Fn>(fn));
-  }
-
-  // Runs `fn` against the shard's current read-side snapshot under an epoch
-  // guard (no-op guard in inline mode).
-  template <typename Fn>
-  auto ReadShard(const Shard& s, Fn&& fn) const -> decltype(fn(*s.sides[0])) {
-    s.lookups.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.concurrent) {
-      return fn(*s.sides[0]);
-    }
-    EpochDomain::Guard guard = epochs_.Enter();
-    return fn(ReadSide(s));
-  }
-
-  std::unique_ptr<Shard> MakeShard(const std::string& space, size_t sub) const;
-
+  // tree_options.symbols is set at construction (when the caller left it
+  // null), so every space's tree shares one intern table.
   Options options_;
-  // Created at construction (or adopted from Options::tree_options.symbols)
-  // and injected into every shard tree, so compiled names are portable
-  // across shards and sides. Append-only: safe to share with lock-free
-  // readers.
-  std::shared_ptr<SymbolTable> symbols_;
-  mutable EpochDomain epochs_;
-  std::map<std::string, std::vector<std::unique_ptr<Shard>>> spaces_;
-  // One journal per routed space (not per shard): the serial orders changes
-  // across all fallback shards of the space. Empty when journaling is off.
-  std::map<std::string, std::unique_ptr<NameJournal>> journals_;
+  std::map<std::string, Space> spaces_;
 };
 
 }  // namespace ins

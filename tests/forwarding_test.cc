@@ -278,6 +278,33 @@ TEST(ForwardingTest, EarlyBindingReturnsEndpointsAndMetrics) {
   double best = std::min(resps[0].items[0].app_metric, resps[0].items[1].app_metric);
   EXPECT_DOUBLE_EQ(best, 1.0);
   EXPECT_EQ(resps[0].items[0].endpoint.bindings[0].transport, "http");
+
+  // Items come back in announcer order, whatever the order the services were
+  // advertised in and whatever their metrics.
+  auto s14 = cluster.AddEndpoint(14);
+  auto s12 = cluster.AddEndpoint(12);
+  auto s13 = cluster.AddEndpoint(13);
+  const std::pair<SimCluster::Endpoint*, double> scanners[] = {
+      {s14.get(), 2.0}, {s12.get(), 3.0}, {s13.get(), 1.0}};
+  for (const auto& [svc, metric] : scanners) {
+    svc->Send(inr->address(),
+              Envelope{MessageBody(MakeAd("[service=scanner]", svc->address(), 0, metric))});
+  }
+  cluster.Settle();
+  Packet scan = MakeData("[service=scanner]", EncodeEarlyBindingPayload(56, client->address()));
+  scan.early_binding = true;
+  client->Send(inr->address(), Envelope{MessageBody(scan)});
+  cluster.Settle();
+  resps = client->ReceivedOf<EarlyBindingResponse>();
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_EQ(resps[1].request_id, 56u);
+  ASSERT_EQ(resps[1].items.size(), 3u);
+  EXPECT_EQ(resps[1].items[0].endpoint.address, s12->address());
+  EXPECT_EQ(resps[1].items[1].endpoint.address, s13->address());
+  EXPECT_EQ(resps[1].items[2].endpoint.address, s14->address());
+  EXPECT_DOUBLE_EQ(resps[1].items[0].app_metric, 3.0);
+  EXPECT_DOUBLE_EQ(resps[1].items[1].app_metric, 1.0);
+  EXPECT_DOUBLE_EQ(resps[1].items[2].app_metric, 2.0);
 }
 
 TEST(ForwardingTest, CacheAnswersRepeatRequests) {

@@ -1,12 +1,10 @@
 // Unit and property tests for the per-vspace change journal (nametree layer):
 // serial arithmetic, ring eviction forcing the snapshot fallback, and exactly
-// which store writes append entries — refreshes must NOT (liveness travels as
-// digests, not journal entries), and the left-right concurrent mode must not
-// double-record its double-applied write lambdas.
+// which store writes append entries — refreshes and stale re-deliveries must
+// NOT (liveness travels as digests, not journal entries).
 
 #include <gtest/gtest.h>
 
-#include "ins/common/rng.h"
 #include "ins/name/parser.h"
 #include "ins/nametree/journal.h"
 #include "ins/nametree/sharded_name_tree.h"
@@ -103,12 +101,9 @@ NameRecord Rec(uint32_t discriminator, uint64_t version) {
   return rec;
 }
 
-ShardedNameTree::Options StoreOptions(size_t journal_capacity, bool concurrent = false,
-                                      size_t fallback_shards = 1) {
+ShardedNameTree::Options StoreOptions(size_t journal_capacity) {
   ShardedNameTree::Options opts;
   opts.journal_capacity = journal_capacity;
-  opts.concurrent = concurrent;
-  opts.fallback_shards = fallback_shards;
   return opts;
 }
 
@@ -189,14 +184,18 @@ TEST(StoreJournalTest, BatchJournalsAppliedEntriesOnly) {
   store.Upsert("", *ParseNameSpecifier("[a=1]"), Rec(1, 5));
   ASSERT_EQ(store.JournalHead(""), 1u);
 
-  std::vector<std::pair<NameSpecifier, NameRecord>> batch;
-  batch.emplace_back(*ParseNameSpecifier("[a=1]"), Rec(1, 5));  // refresh
-  batch.emplace_back(*ParseNameSpecifier("[a=1]"), Rec(1, 2));  // stale
-  batch.emplace_back(*ParseNameSpecifier("[a=2]"), Rec(2, 1));  // new
-  batch.emplace_back(*ParseNameSpecifier("[a=3]"), Rec(3, 1));  // new
-  // Applied counts the refresh; the journal records only real changes.
-  EXPECT_EQ(store.UpsertBatch("", batch), 3u);
+  // A burst of deliveries: only the two new announcers are journaled. The
+  // stale re-delivery, under a name the announcer has left, loses to the
+  // stored newer version.
+  using Kind = NameTree::UpsertOutcome::Kind;
+  EXPECT_EQ(store.Upsert("", *ParseNameSpecifier("[a=1]"), Rec(1, 5)).kind,
+            Kind::kRefreshed);
+  EXPECT_EQ(store.Upsert("", *ParseNameSpecifier("[a=9]"), Rec(1, 2)).kind, Kind::kIgnored);
+  EXPECT_EQ(store.Upsert("", *ParseNameSpecifier("[a=2]"), Rec(2, 1)).kind, Kind::kNew);
+  EXPECT_EQ(store.Upsert("", *ParseNameSpecifier("[a=3]"), Rec(3, 1)).kind, Kind::kNew);
   EXPECT_EQ(store.JournalHead(""), 3u);
+  EXPECT_EQ(store.Find("", Rec(1, 5).announcer)->version, 5u);
+  EXPECT_EQ(store.GetName("", Rec(1, 5).announcer)->ToString(), "[a=1]");
 
   std::vector<JournalEntry> entries;
   ASSERT_TRUE(store.journal("")->ReadSince(1, 100, &entries));
@@ -225,58 +224,6 @@ TEST(StoreJournalTest, PerSpaceSerialsAreIndependent) {
   store.AddSpace("beta");
   store.Upsert("beta", *ParseNameSpecifier("[b=2]"), Rec(4, 1));
   EXPECT_EQ(store.JournalHead("beta"), 1u);
-}
-
-// The left-right concurrent store applies every write lambda TWICE (once per
-// side). Journal capture sits outside the lambda, so each logical write must
-// record exactly one entry — across singles, batches, removes, and sweeps,
-// and across all fallback shards of the space.
-TEST(StoreJournalTest, ConcurrentModeDoesNotDoubleRecord) {
-  ShardedNameTree store(StoreOptions(1024, /*concurrent=*/true, /*fallback_shards=*/4));
-  store.AddSpace("");
-  Rng rng(7);
-  uint64_t expected = 0;
-  for (uint32_t i = 0; i < 200; ++i) {
-    const uint32_t d = 1 + static_cast<uint32_t>(rng.NextBelow(40));
-    const std::string attr = "svc_" + std::to_string(rng.NextBelow(6));
-    const NameSpecifier name = *ParseNameSpecifier("[" + attr + "=" + std::to_string(d) + "]");
-    switch (rng.NextBelow(4)) {
-      case 0:
-      case 1: {
-        auto r = store.Upsert("", name, Rec(d, i));
-        if (r.kind != NameTree::UpsertOutcome::kIgnored &&
-            r.kind != NameTree::UpsertOutcome::kRefreshed) {
-          ++expected;
-        }
-        break;
-      }
-      case 2:
-        if (store.Remove("", Rec(d, 0).announcer)) {
-          ++expected;
-        }
-        break;
-      default: {
-        std::vector<std::pair<NameSpecifier, NameRecord>> batch;
-        batch.emplace_back(name, Rec(d, i));
-        const uint32_t d2 = 1 + static_cast<uint32_t>(rng.NextBelow(40));
-        batch.emplace_back(*ParseNameSpecifier("[other=" + std::to_string(d2) + "]"),
-                           Rec(d2 + 100, i));
-        const uint64_t before = store.JournalHead("");
-        store.UpsertBatch("", batch);
-        expected += store.JournalHead("") - before;  // batch entries verified below
-        break;
-      }
-    }
-    ASSERT_EQ(store.JournalHead(""), expected) << "op " << i;
-  }
-  // Every serial must be present exactly once and contiguous.
-  std::vector<JournalEntry> entries;
-  ASSERT_TRUE(store.journal("")->ReadSince(0, 1 << 20, &entries));
-  ASSERT_EQ(entries.size(), expected);
-  for (size_t k = 0; k < entries.size(); ++k) {
-    EXPECT_EQ(entries[k].serial, k + 1);
-  }
-  EXPECT_TRUE(store.CheckInvariants().ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "ins/name/matcher.h"
 #include "ins/name/parser.h"
 #include "ins/nametree/name_tree.h"
+#include "ins/nametree/sharded_name_tree.h"
 #include "ins/workload/namegen.h"
 
 namespace ins {
@@ -429,6 +430,37 @@ TEST(NameTreeTest, ExpirySweepTouchesOnlyDueRecords) {
   EXPECT_EQ(t.record_count(), kRecords - 1);
   EXPECT_NE(t.Find(Id(2)), nullptr);
   ASSERT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants();
+}
+
+// The store's per-space `lookups` counts LOOKUP-NAME calls only: record
+// counts, finds and stat reads (what NameDiscovery and the debug view call
+// after each advertisement) leave it alone.
+TEST(ShardedNameTreeTest, LookupsCountOnlyLookupName) {
+  ShardedNameTree store;
+  store.AddSpace("");
+  store.Upsert("", P("[service=camera]"), Rec(1));
+  auto lookups = [&store] { return store.PerShardStats().at(0).lookups; };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(store.RecordCount(""), 1u);
+    EXPECT_EQ(store.TotalRecordCount(), 1u);
+    EXPECT_TRUE(store.Find("", Id(1)).has_value());
+    EXPECT_TRUE(store.GetName("", Id(1)).has_value());
+    EXPECT_EQ(store.ComputeStats().records, 1u);
+    (void)store.IndexStatsTotal();
+  }
+  EXPECT_EQ(lookups(), 0u);
+
+  size_t matches = 0;
+  store.ForEachShardMatch(
+      "", P("[service=camera]"),
+      [&](size_t, const NameTree&, const std::vector<const NameRecord*>& found) {
+        matches += found.size();
+      });
+  EXPECT_EQ(matches, 1u);
+  EXPECT_EQ(lookups(), 1u);
+  EXPECT_EQ(store.Lookup("", P("[service=camera]")).size(), 1u);
+  EXPECT_EQ(store.LookupNamed("", P("[service=camera]")).size(), 1u);
+  EXPECT_EQ(lookups(), 3u);
 }
 
 }  // namespace

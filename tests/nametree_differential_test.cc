@@ -6,18 +6,15 @@
 //
 //   * LinearNameTable  — the Matches()-scan reference model (baseline/);
 //   * NameTree         — the paper's superposed tree (Figure 5/6);
-//   * ShardedNameTree  — the concurrent sharded core, exercised here in
-//                        deterministic inline mode with several fallback
-//                        shards so the union-of-shards path is covered.
+//   * ShardedNameTree  — the resolver's store (one tree per routed space),
+//                        with its change journal feeding a replica.
 //
 // The three-way equivalence is exact on schema-complete workloads (every
 // advertisement uses all r_a attributes per level, i.e. n_a == r_a): that is
 // when Figure 5's tree walk coincides with the per-advertisement Matches()
-// predicate, and when a hash-sharded union coincides with one tree (see the
-// semantics notes in name_tree.h and sharded_name_tree.h). A separate suite
-// pins NameTree == ShardedNameTree(fallback_shards=1) on schema-INcomplete
-// workloads, where the single-shard layout must be byte-identical by
-// construction.
+// predicate (see the semantics note in name_tree.h). A separate suite pins
+// NameTree == ShardedNameTree on schema-INcomplete workloads, where the
+// store's one tree must agree with a bare tree by construction.
 //
 // Workload invariants the generator maintains (both by protocol design and
 // because the reference model replaces records wholesale): per-announcer
@@ -70,18 +67,15 @@ class Harness {
     return o;
   }
 
-  Harness(uint64_t seed, UniformNameParams params, size_t fallback_shards)
+  Harness(uint64_t seed, UniformNameParams params)
       : rng_(seed), params_(params), tree_off_(IndexOffOptions()) {
     ShardedNameTree::Options opts;
-    opts.fallback_shards = fallback_shards;
     // Small ring on purpose: stretches between replica syncs regularly
     // overflow it, so the snapshot-fallback path runs alongside deltas.
     opts.journal_capacity = 32;
     sharded_ = std::make_unique<ShardedNameTree>(opts);
     sharded_->AddSpace("");
-    ShardedNameTree::Options replica_opts;
-    replica_opts.fallback_shards = fallback_shards;
-    replica_ = std::make_unique<ShardedNameTree>(replica_opts);
+    replica_ = std::make_unique<ShardedNameTree>();
     replica_->AddSpace("");
   }
 
@@ -205,11 +199,11 @@ class Harness {
   }
 
   void OpBatch() {
-    // One UpsertBatch call against the sharded store vs entry-by-entry
-    // application to the oracles — equivalent because announcers within a
-    // batch are distinct. Renames inside a batch exercise the cross-shard
-    // eviction path under the batched-publish protocol.
+    // A burst of distinct announcers: new ones, refreshes and renames. After
+    // it, each updated announcer's previous copy is re-delivered to the store
+    // and must lose to the newer version.
     std::vector<size_t> picked;
+    std::vector<LiveName> superseded;
     const size_t want = 1 + rng_.NextBelow(6);
     for (size_t k = 0; k < want; ++k) {
       const uint64_t kind = rng_.NextBelow(3);
@@ -228,25 +222,24 @@ class Harness {
           continue;  // one entry per announcer per batch
         }
         LiveName& ln = live_[idx];
+        superseded.push_back(ln);
         ln.version += 1;
         if (kind == 2) {
-          ln.name = GenerateUniformName(rng_, params_);  // rename, maybe cross-shard
+          ln.name = GenerateUniformName(rng_, params_);  // rename
         }
         picked.push_back(idx);
       }
     }
-    std::vector<std::pair<NameSpecifier, NameRecord>> batch;
     for (size_t idx : picked) {
-      const LiveName& ln = live_[idx];
-      NameRecord rec = MakeRecord(ln);
-      oracle_.Upsert(ln.name, rec);
-      tree_.Upsert(ln.name, rec);
-      tree_off_.Upsert(ln.name, rec);
-      batch.emplace_back(ln.name, rec);
+      // Every entry is fresh (new announcer or bumped version): none may be
+      // ignored.
+      UpsertEverywhere(live_[idx]);
     }
-    // Every entry is fresh (new announcer or bumped version): none may be
-    // dropped by the cross-shard staleness guard.
-    ASSERT_EQ(sharded_->UpsertBatch("", batch), batch.size());
+    for (const LiveName& old : superseded) {
+      ASSERT_EQ(sharded_->Upsert("", old.name, MakeRecord(old)).kind,
+                NameTree::UpsertOutcome::kIgnored)
+          << "stale re-delivery of " << old.id.ToString() << " was applied";
+    }
   }
 
   NameSpecifier MakeQuery() {
@@ -322,11 +315,10 @@ class Harness {
     if (!journal->ReadSince(replica_serial_, SIZE_MAX, &entries)) {
       replica_->RemoveSpace("");
       replica_->AddSpace("");
-      sharded_->ForEachShardTree("", [&](const NameTree& tree) {
-        for (const NameRecord* rec : tree.AllRecords()) {
-          replica_->Upsert("", tree.ExtractName(rec), *rec);
-        }
-      });
+      const NameTree& tree = *sharded_->Tree("");
+      for (const NameRecord* rec : tree.AllRecords()) {
+        replica_->Upsert("", tree.ExtractName(rec), *rec);
+      }
     } else {
       for (const JournalEntry& e : entries) {
         if (e.op == JournalOp::kUpsert) {
@@ -383,21 +375,19 @@ class Harness {
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-// Three-way equivalence, schema-complete workload, hash-sharded store.
+// Three-way equivalence, schema-complete workload.
 TEST_P(DifferentialTest, OracleVsTreeVsShardedStore) {
-  Harness h(GetParam(), kCompleteParams, /*fallback_shards=*/4);
+  Harness h(GetParam(), kCompleteParams);
   h.RunOps(kOpsPerSeed);
   EXPECT_GT(h.replica_syncs(), 1u);  // the replication op really ran
 }
 
-// Single-shard store must track the tree exactly on ANY workload — including
+// The store must track a bare tree exactly on ANY workload — including
 // schema-incomplete names where advertisements omit attributes.
 TEST_P(DifferentialTest, SingleShardIsByteIdenticalOnSparseWorkload) {
   Rng rng(GetParam() * 977 + 3);
   NameTree tree;
-  ShardedNameTree::Options opts;
-  opts.fallback_shards = 1;
-  ShardedNameTree sharded(opts);
+  ShardedNameTree sharded;
   sharded.AddSpace("");
 
   std::vector<LiveName> live;
@@ -433,7 +423,7 @@ TEST_P(DifferentialTest, SingleShardIsByteIdenticalOnSparseWorkload) {
       ASSERT_EQ(tree.ExpireBefore(now), sharded.ExpireBefore(now));
       std::erase_if(live, [now](const LiveName& ln) { return ln.expires < now; });
     } else {
-      // Arbitrary (sparse) query: the single shard must agree verbatim.
+      // Arbitrary (sparse) query: the store must agree verbatim.
       NameSpecifier q = GenerateUniformName(rng, kSparseParams);
       std::vector<const NameRecord*> want = tree.Lookup(q);
       std::vector<NameRecord> got = sharded.Lookup("", q);
@@ -496,7 +486,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternedVsStringKeyedTest,
 
 // A CompiledName built against a shared symbol table grafts identically into
 // every tree attached to that table — the property ShardedNameTree relies on
-// to compile once and apply to any shard and both left-right sides.
+// to compile once and apply to any space's tree.
 TEST(SharedSymbolTableTest, CompileOncePortableAcrossTrees) {
   auto symbols = std::make_shared<SymbolTable>();
   NameTree::Options opts;
@@ -532,220 +522,6 @@ TEST(SharedSymbolTableTest, CompileOncePortableAcrossTrees) {
   EXPECT_EQ(right.ComputeStats().symbol_bytes, 0u);
   EXPECT_TRUE(left.CheckInvariants().ok());
   EXPECT_TRUE(right.CheckInvariants().ok());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-union semantics: with advertisements partitioned into "families"
-// that are schema-complete within their shard (every family roots at its own
-// single distinctive attribute, with a fixed child schema), the union of
-// per-shard LOOKUP-NAMEs equals the Matches() reference model EXACTLY — for
-// arbitrary queries, including ones mixing attributes of several families.
-// This is the semantic contract the concurrent store scales out under.
-// ---------------------------------------------------------------------------
-
-// Picks `want` family attribute names that land in pairwise-distinct
-// fallback shards of `shards` (the store hashes the first root attribute
-// with std::hash, which we replicate here).
-std::vector<std::string> DistinctShardFamilies(size_t want, size_t shards) {
-  std::vector<std::string> out;
-  std::vector<bool> used(shards, false);
-  for (char c = 'a'; c <= 'z' && out.size() < want; ++c) {
-    std::string attr = std::string("fam_") + c;
-    size_t idx = std::hash<std::string>{}(attr) % shards;
-    if (!used[idx]) {
-      used[idx] = true;
-      out.push_back(attr);
-    }
-  }
-  return out;
-}
-
-TEST(ShardedFamilyDifferentialTest, UnionOfShardsEqualsMatchesOracle) {
-  constexpr size_t kShards = 8;
-  const std::vector<std::string> families = DistinctShardFamilies(4, kShards);
-  ASSERT_EQ(families.size(), 4u);
-
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed * 1337);
-    ShardedNameTree::Options opts;
-    opts.fallback_shards = kShards;
-    ShardedNameTree store(opts);
-    store.AddSpace("");
-    LinearNameTable oracle;
-
-    auto family_value = [&rng] { return "v" + std::to_string(rng.NextBelow(4)); };
-    auto family_name = [&](const std::string& fam) {
-      // [fam_x=v? [kind=v? [room=v?]]] — one root per family, fixed child
-      // schema: schema-complete within the family's shard.
-      NameSpecifier n;
-      n.AddPath({{fam, family_value()}, {"kind", family_value()}, {"room", family_value()}});
-      return n;
-    };
-
-    for (uint32_t i = 1; i <= 120; ++i) {
-      const std::string& fam = families[rng.NextBelow(families.size())];
-      NameRecord rec;
-      rec.announcer = AnnouncerId{0x0d000000u + i, seed, i};
-      rec.expires = Seconds(3600);
-      rec.version = 1;
-      NameSpecifier name = family_name(fam);
-      oracle.Upsert(name, rec);
-      store.Upsert("", name, rec);
-    }
-
-    // The workload genuinely spreads: several shards hold records.
-    size_t populated = 0;
-    for (const ShardedNameTree::ShardStats& st : store.PerShardStats()) {
-      populated += st.records > 0 ? 1 : 0;
-    }
-    EXPECT_GE(populated, 3u);
-
-    for (int q = 0; q < 200; ++q) {
-      // Queries constrain 1–2 random families, sometimes with wildcards,
-      // sometimes with child constraints — and sometimes mix families, the
-      // case where a monolithic Figure-5 tree and the prose semantics
-      // disagree but the sharded union must still track the oracle.
-      NameSpecifier query;
-      const size_t constraints = 1 + rng.NextBelow(2);
-      const size_t first = rng.NextBelow(families.size());
-      const size_t second = (first + 1 + rng.NextBelow(families.size() - 1)) % families.size();
-      for (size_t k = 0; k < constraints; ++k) {
-        const std::string& fam = families[k == 0 ? first : second];
-        if (rng.NextBool(0.3)) {
-          query.AddPathValue({}, fam, Value::Wildcard());
-        } else if (rng.NextBool(0.5)) {
-          query.AddPath({{fam, family_value()}, {"kind", family_value()}});
-        } else {
-          query.AddPath({{fam, family_value()}});
-        }
-      }
-      std::vector<const NameRecord*> want = oracle.Lookup(query);
-      std::vector<NameRecord> got = store.Lookup("", query);
-      ASSERT_EQ(want.size(), got.size()) << "query " << query.ToString();
-      for (size_t k = 0; k < want.size(); ++k) {
-        EXPECT_TRUE(want[k]->announcer == got[k].announcer) << query.ToString();
-      }
-    }
-    EXPECT_TRUE(store.CheckInvariants().ok());
-  }
-}
-
-// Cross-shard service mobility: a rename whose first attribute changes moves
-// the record between fallback shards; the store must report kRenamed and
-// never hold the announcer twice.
-TEST(ShardedMobilityTest, RenameAcrossFallbackShards) {
-  constexpr size_t kShards = 8;
-  ShardedNameTree::Options opts;
-  opts.fallback_shards = kShards;
-  ShardedNameTree store(opts);
-  store.AddSpace("");
-
-  auto name_with_root = [](const std::string& attr) {
-    NameSpecifier n;
-    n.AddPath({{attr, "on"}});
-    return n;
-  };
-  auto shard_of = [&](const std::string& attr) {
-    return std::hash<std::string>{}(attr) % kShards;
-  };
-
-  Rng rng(42);
-  size_t cross_shard_renames = 0;
-  for (uint32_t n = 1; n <= 64; ++n) {
-    AnnouncerId id{0x0c000000u + n, 5, n};
-    NameRecord rec;
-    rec.announcer = id;
-    rec.expires = Seconds(3600);
-    rec.version = 1;
-    std::string attr = "svc_" + std::to_string(rng.NextBelow(40));
-    ASSERT_EQ(store.Upsert("", name_with_root(attr), rec).kind,
-              NameTree::UpsertOutcome::kNew);
-
-    for (int attempt = 0; attempt < 20; ++attempt) {
-      std::string renamed_attr = "svc_" + std::to_string(rng.NextBelow(40));
-      rec.version += 1;
-      auto out = store.Upsert("", name_with_root(renamed_attr), rec);
-      ASSERT_NE(out.kind, NameTree::UpsertOutcome::kIgnored);
-      ASSERT_EQ(store.RecordCount(""), n) << "announcer duplicated or lost across shards";
-      if (shard_of(renamed_attr) != shard_of(attr)) {
-        EXPECT_EQ(out.kind, NameTree::UpsertOutcome::kRenamed);
-        ++cross_shard_renames;
-      }
-      attr = renamed_attr;
-    }
-    // Stale versions must lose even against a record in another shard.
-    NameRecord stale = rec;
-    stale.version = 0;
-    EXPECT_EQ(store.Upsert("", name_with_root("svc_0"), stale).kind,
-              NameTree::UpsertOutcome::kIgnored);
-    ASSERT_EQ(store.RecordCount(""), n);
-  }
-  EXPECT_GT(cross_shard_renames, 100u);  // the loop really exercised the path
-  EXPECT_TRUE(store.CheckInvariants().ok());
-}
-
-// Regression: a batch entry STALER than the announcer's record in a
-// different fallback shard must be dropped entirely. Routing it to its
-// target shard would graft the announcer twice — the target tree's version
-// guard cannot see the other shard's record — leaving a duplicate that
-// corrupts Remove/Find/RecordCount.
-TEST(ShardedMobilityTest, BatchStaleCrossShardEntryIsIgnored) {
-  constexpr size_t kShards = 8;
-  ShardedNameTree::Options opts;
-  opts.fallback_shards = kShards;
-  ShardedNameTree store(opts);
-  store.AddSpace("");
-
-  auto name_with_root = [](const std::string& attr) {
-    NameSpecifier n;
-    n.AddPath({{attr, "on"}});
-    return n;
-  };
-  auto shard_of = [&](const std::string& attr) {
-    return std::hash<std::string>{}(attr) % kShards;
-  };
-  // Two root attributes landing in distinct fallback shards.
-  const std::string here = "svc_0";
-  std::string there;
-  for (int i = 1; there.empty(); ++i) {
-    std::string cand = "svc_" + std::to_string(i);
-    if (shard_of(cand) != shard_of(here)) {
-      there = cand;
-    }
-  }
-
-  AnnouncerId id{0x0e000000u, 5, 1};
-  NameRecord rec;
-  rec.announcer = id;
-  rec.expires = Seconds(3600);
-  rec.version = 2;
-  ASSERT_EQ(store.Upsert("", name_with_root(here), rec).kind,
-            NameTree::UpsertOutcome::kNew);
-
-  NameRecord stale = rec;
-  stale.version = 1;
-  EXPECT_EQ(store.UpsertBatch("", {{name_with_root(there), stale}}), 0u);
-  EXPECT_EQ(store.RecordCount(""), 1u);
-  std::optional<NameRecord> found = store.Find("", id);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->version, 2u);
-  auto name = store.GetName("", id);
-  ASSERT_TRUE(name.has_value());
-  EXPECT_TRUE(*name == name_with_root(here));
-  EXPECT_TRUE(store.CheckInvariants().ok());
-
-  // A fresh batch entry still migrates the announcer across shards.
-  NameRecord fresh = rec;
-  fresh.version = 3;
-  EXPECT_EQ(store.UpsertBatch("", {{name_with_root(there), fresh}}), 1u);
-  EXPECT_EQ(store.RecordCount(""), 1u);
-  found = store.Find("", id);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->version, 3u);
-  auto moved = store.GetName("", id);
-  ASSERT_TRUE(moved.has_value());
-  EXPECT_TRUE(*moved == name_with_root(there));
-  EXPECT_TRUE(store.CheckInvariants().ok());
 }
 
 }  // namespace

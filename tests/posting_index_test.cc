@@ -28,6 +28,7 @@
 #include "ins/name/compiled_name.h"
 #include "ins/nametree/name_tree.h"
 #include "ins/nametree/posting_index.h"
+#include "ins/nametree/sharded_name_tree.h"
 #include "ins/workload/namegen.h"
 
 namespace ins {
@@ -303,6 +304,40 @@ TEST(PostingIndexPropertyTest, TreeChurnPromotesAndDemotesWithIdenticalResults) 
   EXPECT_EQ(Announcers(tree.Lookup(cq)), Announcers(tree.LookupTreeWalk(cq)));
   EXPECT_EQ(tree.Lookup(cq).size(), 10u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+// Heavy rename churn on ONE announcer through the resolver's store: the
+// posting universe (slot vector) must stay compact via free-list reuse, and
+// every lookup must return the announcer's latest record only.
+TEST(PostingIndexPropertyTest, RenameChurnKeepsSlotUniverseCompact) {
+  ShardedNameTree store;
+  store.AddSpace("");
+  const AnnouncerId id{0x0b000001u, 2000, 0};
+  for (uint64_t v = 1; v <= 400; ++v) {
+    // The first attribute rotates with the version: every upsert renames.
+    NameSpecifier name;
+    name.AddPath({{"svc_" + std::to_string(v % 8), "on"}, {"unit", "0"}});
+    NameRecord rec;
+    rec.announcer = id;
+    rec.version = v;
+    rec.expires = Seconds(100000 + static_cast<int64_t>(v));
+    ASSERT_NE(store.Upsert("", name, rec).kind, NameTree::UpsertOutcome::kIgnored);
+
+    NameSpecifier query;
+    query.AddPath({{"svc_" + std::to_string(v % 8), "on"}});
+    const std::vector<NameRecord> found = store.Lookup("", query);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].version, v);
+  }
+
+  EXPECT_EQ(store.RecordCount(""), 1u);
+  EXPECT_TRUE(store.CheckInvariants().ok());
+  // One live record: 400 renames may not have grown the index past a few
+  // posting keys (free-list slot reuse, erase-at-zero key pruning).
+  const PostingIndexStats stats = store.IndexStatsTotal();
+  EXPECT_GT(stats.index_lookups, 0u);
+  EXPECT_LE(stats.posting_keys, 4u);
+  EXPECT_LT(stats.bytes, size_t{64} << 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ ClusterOptions ReplicatedOptions(uint64_t seed = 1) {
 // announcer -> version view of one resolver's records in `vspace`.
 std::map<AnnouncerId, uint64_t> StateOf(Inr* inr, const std::string& vspace = "") {
   std::map<AnnouncerId, uint64_t> view;
-  inr->vspaces().store().ForEachShardTree(vspace, [&](const NameTree& tree) {
-    for (const NameRecord* rec : tree.AllRecords()) {
+  if (const NameTree* tree = inr->vspaces().store().Tree(vspace)) {
+    for (const NameRecord* rec : tree->AllRecords()) {
       view[rec->announcer] = rec->version;
     }
-  });
+  }
   return view;
 }
 

@@ -97,7 +97,7 @@ TEST(SymbolTableTest, ConcurrentInternSameStringsAgreeOnIds) {
 }
 
 TEST(SymbolTableTest, LockFreeReadersRaceWritersSafely) {
-  // The left-right composition: readers probe Find()/NameOf() continuously
+  // Lock-free readers: Find()/NameOf() probe continuously
   // while writers intern fresh symbols, crossing chunk and index-growth
   // boundaries. Snapshot contract: a Find() may miss an in-flight intern,
   // but any published id must reverse-map to exactly the interned bytes.
