@@ -1,4 +1,4 @@
-// Real-socket transport ablation — sim vs UdpTransport vs BatchedUdpTransport.
+// Real-socket transport ablation — sim::Network vs BatchedUdpTransport.
 //
 // Every other number in this repo was measured on the deterministic sim
 // transport; this bench measures the wire path itself on real loopback
@@ -7,17 +7,17 @@
 // receiver drains, and each payload carries its send timestamp so
 // send-to-deliver latency comes out of the same run.
 //
-// Series: the in-process sim loopback (the no-syscall ceiling), the plain
-// one-sendto-per-datagram UdpTransport, and BatchedUdpTransport at 1/8/64
-// datagrams per sendmmsg, pacing off and on.
+// Series: sim::Network on a zero-latency link driven by its EventLoop (the
+// no-syscall ceiling, and what the tier-1 suite runs on), and
+// BatchedUdpTransport at 1/8/64 datagrams per sendmmsg, pacing off and on.
 //
-// Invariant (exit 1): batched at batch 64 must move >= 2x the datagrams/s of
-// the unbatched transport — the syscall amortization the fast path exists
+// Invariant (exit 1): with pacing off, batch 64 must move >= 2x the
+// datagrams/s of batch 1 — the syscall amortization the transport exists
 // for. CI runs this gate on every push.
 //
 // Writes a JSON report (argv[1], default bench_udp_throughput.json):
 //   {"bench": "udp_throughput", "payload_bytes": 64, "datagrams": ...,
-//    "batched_vs_udp": ..., "series": [{"transport": "batched", "batch": 64,
+//    "batch64_vs_batch1": ..., "series": [{"transport": "batched", "batch": 64,
 //    "pacing": false, "datagrams_per_sec": ..., "p50_us": ..., "p99_us": ...,
 //    "delivered_fraction": ...}, ...]}
 
@@ -28,9 +28,8 @@
 #include <vector>
 
 #include "ins/common/metrics.h"
+#include "ins/sim/network.h"
 #include "ins/transport/batched_udp_transport.h"
-#include "ins/transport/loopback.h"
-#include "ins/transport/udp_transport.h"
 
 namespace {
 
@@ -68,11 +67,10 @@ int64_t ReadStamp(const Bytes& payload) {
 
 // Pumps kDatagrams through sender->receiver on one RealEventLoop, draining
 // as backpressure demands, and reports throughput + latency quantiles.
-RunResult RunReal(const std::string& label, RealEventLoop& loop, Transport& sender,
-                  Transport& receiver, const NodeAddress& dest,
-                  BatchedUdpTransport* batched) {
+RunResult RunReal(RealEventLoop& loop, BatchedUdpTransport& sender, Transport& receiver,
+                  const NodeAddress& dest) {
   RunResult r;
-  r.transport = label;
+  r.transport = "batched";
 
   uint64_t received = 0;
   Histogram latency;
@@ -103,9 +101,7 @@ RunResult RunReal(const std::string& label, RealEventLoop& loop, Transport& send
     // Let the receiver drain (and a blocked sender queue flush).
     loop.RunFor(Milliseconds(blocked ? 2 : 1));
   }
-  if (batched != nullptr) {
-    batched->FlushNow();
-  }
+  sender.FlushNow();
   // Drain the tail: stop once receipt goes quiet.
   for (int quiet = 0; quiet < 20 && received < sent; ++quiet) {
     const uint64_t before = received;
@@ -126,11 +122,13 @@ RunResult RunReal(const std::string& label, RealEventLoop& loop, Transport& send
 }
 
 RunResult RunSim() {
-  // The in-process loopback with synchronous delivery: what the whole tier-1
-  // suite runs on, and the no-syscall upper bound for this host.
+  // The deterministic virtual-time network the tier-1 suite runs on, with a
+  // zero-latency link: the no-syscall upper bound for this host.
   RunResult r;
   r.transport = "sim";
-  LoopbackNetwork net;
+  sim::EventLoop loop;
+  sim::Network net(&loop);
+  net.SetDefaultLink(sim::LinkParams{.latency = Duration(0)});
   auto a = net.Bind(MakeAddress(1));
   auto b = net.Bind(MakeAddress(2));
   uint64_t received = 0;
@@ -139,23 +137,15 @@ RunResult RunSim() {
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < kDatagrams; ++i) {
     a->Send(MakeAddress(2), payload);
+    if (i % 4096 == 4095) {
+      loop.RunUntilIdle();
+    }
   }
+  loop.RunUntilIdle();
   const double elapsed = WallSeconds(start, std::chrono::steady_clock::now());
   r.datagrams_per_sec = elapsed > 0 ? static_cast<double>(received) / elapsed : 0;
   r.delivered_fraction = static_cast<double>(received) / static_cast<double>(kDatagrams);
   return r;
-}
-
-RunResult RunUdp() {
-  RealEventLoop loop;
-  auto a = UdpTransport::Bind(&loop, MakeAddress(1, kBasePort));
-  auto b = UdpTransport::Bind(&loop, MakeAddress(2, kBasePort + 1));
-  if (!a.ok() || !b.ok()) {
-    std::printf("FAILED: bind: %s\n",
-                (!a.ok() ? a.status() : b.status()).ToString().c_str());
-    std::exit(1);
-  }
-  return RunReal("udp", loop, **a, **b, MakeAddress(2, kBasePort + 1), nullptr);
 }
 
 RunResult RunBatched(size_t batch, bool pacing, uint16_t port) {
@@ -177,8 +167,7 @@ RunResult RunBatched(size_t batch, bool pacing, uint16_t port) {
                 (!a.ok() ? a.status() : b.status()).ToString().c_str());
     std::exit(1);
   }
-  RunResult r =
-      RunReal("batched", loop, **a, **b, MakeAddress(2, port + 1), a->get());
+  RunResult r = RunReal(loop, **a, **b, MakeAddress(2, port + 1));
   r.batch = batch;
   r.pacing = pacing;
   return r;
@@ -204,28 +193,28 @@ int main(int argc, char** argv) {
   std::vector<RunResult> series;
   series.push_back(RunSim());
   PrintRow(series.back());
-  series.push_back(RunUdp());
-  PrintRow(series.back());
-  const RunResult& udp = series.back();
 
   uint16_t port = kBasePort + 10;
-  double batched_best = 0;
+  double batch1 = 0;
+  double batch64 = 0;
   for (bool pacing : {false, true}) {
     for (size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
       series.push_back(RunBatched(batch, pacing, port));
       port += 2;
       PrintRow(series.back());
-      if (!pacing && series.back().datagrams_per_sec > batched_best) {
-        batched_best = series.back().datagrams_per_sec;
+      if (!pacing && batch == 1) {
+        batch1 = series.back().datagrams_per_sec;
+      }
+      if (!pacing && batch == 64) {
+        batch64 = series.back().datagrams_per_sec;
       }
     }
   }
 
-  const double ratio =
-      udp.datagrams_per_sec > 0 ? batched_best / udp.datagrams_per_sec : 0;
-  std::printf("batched/unbatched: %.2fx\n", ratio);
+  const double ratio = batch1 > 0 ? batch64 / batch1 : 0;
+  std::printf("batch 64 / batch 1: %.2fx\n", ratio);
   if (ratio < 2.0) {
-    std::printf("FAILED: batched transport must reach >= 2x unbatched datagrams/s "
+    std::printf("FAILED: batch 64 must reach >= 2x the datagrams/s of batch 1 "
                 "(got %.2fx)\n", ratio);
     return 1;
   }
@@ -238,7 +227,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"bench\": \"udp_throughput\",\n");
   std::fprintf(f, "  \"payload_bytes\": %zu,\n  \"datagrams\": %llu,\n", kPayloadBytes,
                static_cast<unsigned long long>(kDatagrams));
-  std::fprintf(f, "  \"batched_vs_udp\": %.2f,\n  \"series\": [\n", ratio);
+  std::fprintf(f, "  \"batch64_vs_batch1\": %.2f,\n  \"series\": [\n", ratio);
   for (size_t i = 0; i < series.size(); ++i) {
     const RunResult& r = series[i];
     std::fprintf(f,

@@ -17,19 +17,19 @@
 #include "ins/apps/printer.h"
 #include "ins/inr/inr.h"
 #include "ins/overlay/dsr.h"
-#include "ins/transport/udp_transport.h"
+#include "ins/transport/batched_udp_transport.h"
 
 namespace {
 
 constexpr uint16_t kBasePort = 15820;
 
 struct Node {
-  std::unique_ptr<ins::UdpTransport> transport;
+  std::unique_ptr<ins::BatchedUdpTransport> transport;
   std::unique_ptr<ins::InsClient> client;
 
   Node(ins::RealEventLoop* loop, uint32_t host, uint16_t port, ins::NodeAddress inr,
        ins::NodeAddress dsr) {
-    auto t = ins::UdpTransport::Bind(loop, ins::MakeAddress(host, port));
+    auto t = ins::BatchedUdpTransport::Bind(loop, ins::MakeAddress(host, port));
     if (!t.ok()) {
       std::fprintf(stderr, "bind %u failed: %s\n", port, t.status().ToString().c_str());
       std::exit(1);
@@ -58,8 +58,8 @@ int main() {
   using namespace ins;
   RealEventLoop loop;
 
-  auto dsr_transport = UdpTransport::Bind(&loop, MakeAddress(250, kBasePort));
-  auto inr_transport = UdpTransport::Bind(&loop, MakeAddress(1, kBasePort + 1));
+  auto dsr_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(250, kBasePort));
+  auto inr_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(1, kBasePort + 1));
   if (!dsr_transport.ok() || !inr_transport.ok()) {
     std::fprintf(stderr, "bind failed (ports in use?)\n");
     return 1;

@@ -6,20 +6,18 @@
 // with early binding, and exchanges a message with it via intentional
 // anycast — no hostnames or addresses anywhere in the application code.
 //
-// By default every endpoint runs on the batched fast path (sendmmsg/recvmmsg
-// + pacing); pass --transport=udp for the plain one-syscall-per-datagram
-// transport.
+// Every endpoint is a BatchedUdpTransport (sendmmsg/recvmmsg batching; the
+// pacer stays off at its default).
 //
-//   $ ./quickstart [--transport=udp|batched]
+//   $ ./quickstart
 
 #include <cstdio>
-#include <cstring>
 
 #include "ins/client/api.h"
 #include "ins/inr/inr.h"
 #include "ins/name/parser.h"
 #include "ins/overlay/dsr.h"
-#include "ins/transport/factory.h"
+#include "ins/transport/batched_udp_transport.h"
 
 namespace {
 
@@ -36,26 +34,13 @@ ins::NameSpecifier Name(const char* text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace ins;
   RealEventLoop loop;
 
-  TransportKind kind = TransportKind::kBatchedUdp;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      auto parsed = ParseTransportKind(argv[i] + 12);
-      if (!parsed.ok() || *parsed == TransportKind::kSim) {
-        std::fprintf(stderr, "usage: %s [--transport=udp|batched]\n", argv[0]);
-        return 2;
-      }
-      kind = *parsed;
-    }
-  }
-  std::printf("transport: %s\n", TransportKindName(kind));
-
   // --- Infrastructure: one DSR, one INR -------------------------------------
-  auto dsr_transport = MakeRealTransport(kind, &loop, MakeAddress(250, kBasePort));
-  auto inr_transport = MakeRealTransport(kind, &loop, MakeAddress(1, kBasePort + 1));
+  auto dsr_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(250, kBasePort));
+  auto inr_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(1, kBasePort + 1));
   if (!dsr_transport.ok() || !inr_transport.ok()) {
     std::fprintf(stderr, "bind failed (ports in use?)\n");
     return 1;
@@ -71,7 +56,7 @@ int main(int argc, char** argv) {
               inr.topology().joined() ? 1 : 0);
 
   // --- A service: a thermostat in room 510 ----------------------------------
-  auto svc_transport = MakeRealTransport(kind, &loop, MakeAddress(10, kBasePort + 2));
+  auto svc_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(10, kBasePort + 2));
   ClientConfig svc_config;
   svc_config.inr = inr.address();
   svc_config.dsr = (*dsr_transport)->local_address();
@@ -89,7 +74,7 @@ int main(int argc, char** argv) {
   });
 
   // --- A client: finds the thermostat by what it is, not where it is ---------
-  auto cli_transport = MakeRealTransport(kind, &loop, MakeAddress(20, kBasePort + 3));
+  auto cli_transport = BatchedUdpTransport::Bind(&loop, MakeAddress(20, kBasePort + 3));
   ClientConfig cli_config;
   cli_config.inr = inr.address();
   cli_config.dsr = (*dsr_transport)->local_address();

@@ -2,8 +2,9 @@
 //
 // Every endpoint in the system — INRs, clients, the DSR — owns one Transport
 // bound to a NodeAddress. Implementations: sim::Network sockets (virtual
-// time, deterministic), LoopbackTransport (in-process, for unit tests), and
-// UdpTransport (real POSIX sockets, used by the runnable examples).
+// time, deterministic; the tier-1 suite and the paper-figure benches) and
+// BatchedUdpTransport (real loopback UDP sockets; the runnable examples, the
+// realnet tier and the socket benches).
 
 #ifndef INS_COMMON_TRANSPORT_H_
 #define INS_COMMON_TRANSPORT_H_
@@ -18,15 +19,6 @@
 namespace ins {
 
 class MetricsRegistry;
-
-// Which wire path an endpoint runs on. Sim stays the default everywhere —
-// the whole tier-1 suite is deterministic virtual time — while the real
-// transports carry byte-identical frames over actual sockets.
-enum class TransportKind {
-  kSim,        // sim::Network virtual-time socket (deterministic tests)
-  kUdp,        // one sendto/recv syscall per datagram
-  kBatchedUdp  // sendmmsg/recvmmsg batching + pacing (the fast path)
-};
 
 class Transport {
  public:
@@ -44,8 +36,8 @@ class Transport {
 
   // Re-points the transport's `transport.*` instrumentation at the owning
   // node's registry, so drops and batch sizes show up beside the node's own
-  // metrics. Default: the transport keeps its private registry (sim and
-  // loopback transports have nothing to report).
+  // metrics. Default: the transport keeps its private registry (sim sockets
+  // have nothing to report).
   virtual void AttachMetrics(MetricsRegistry* metrics) { (void)metrics; }
 
   // Load feedback from the owning node (the AdmissionController's smoothed

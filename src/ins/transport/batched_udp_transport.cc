@@ -24,14 +24,12 @@
 #include <cstring>
 #include <string>
 
-#include "ins/transport/udp_transport.h"
-
 namespace ins {
 
 namespace {
 
-using udp_internal::kMaxDatagram;
-using udp_internal::kVirtualHeader;
+constexpr size_t kVirtualHeader = 6;  // u32 virtual ip + u16 virtual port
+constexpr size_t kMaxDatagram = 65507;
 
 // recvmmsg drains this many datagrams per syscall. Buffers must fit a
 // maximal datagram, so this also bounds the preallocated receive memory
@@ -53,6 +51,52 @@ void FillSockaddr(uint16_t port, sockaddr_in* sa) {
   sa->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
 }
 
+// Opens a non-blocking AF_INET UDP socket bound to 127.0.0.1:<port> with
+// enlarged kernel buffers. Returns the fd or a Status.
+Result<int> OpenBoundSocket(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return InternalError(std::string("socket(): ") + std::strerror(errno));
+  }
+  // Deep kernel buffers: the bench floods loopback far past the 212 KiB
+  // default, and a resolver handling a burst should absorb it rather than
+  // shed at the socket. Best effort — the kernel clamps to rmem_max/wmem_max.
+  const int kBufBytes = 4 * 1024 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kBufBytes, sizeof(kBufBytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kBufBytes, sizeof(kBufBytes));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return UnavailableError("bind(127.0.0.1:" + std::to_string(port) + "): " + err);
+  }
+  return fd;
+}
+
+// Writes the 6-byte virtual-source header for `self` into `out`.
+void WriteVirtualHeader(const NodeAddress& self, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(self.ip >> 24);
+  out[1] = static_cast<uint8_t>(self.ip >> 16);
+  out[2] = static_cast<uint8_t>(self.ip >> 8);
+  out[3] = static_cast<uint8_t>(self.ip);
+  out[4] = static_cast<uint8_t>(self.port >> 8);
+  out[5] = static_cast<uint8_t>(self.port);
+}
+
+// Parses the header into `src`; false if the frame is too short.
+bool ReadVirtualHeader(const uint8_t* data, size_t size, NodeAddress* src) {
+  if (size < kVirtualHeader) {
+    return false;
+  }
+  src->ip = static_cast<uint32_t>(data[0]) << 24 | static_cast<uint32_t>(data[1]) << 16 |
+            static_cast<uint32_t>(data[2]) << 8 | static_cast<uint32_t>(data[3]);
+  src->port = static_cast<uint16_t>(static_cast<uint16_t>(data[4]) << 8 | data[5]);
+  return true;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BatchedUdpTransport>> BatchedUdpTransport::Bind(
@@ -60,7 +104,7 @@ Result<std::unique_ptr<BatchedUdpTransport>> BatchedUdpTransport::Bind(
   if (config.batch_size == 0 || config.max_queue < config.batch_size) {
     return InvalidArgumentError("BatchedUdpConfig: need 0 < batch_size <= max_queue");
   }
-  Result<int> fd = udp_internal::OpenBoundSocket(address.port);
+  Result<int> fd = OpenBoundSocket(address.port);
   if (!fd.ok()) {
     return fd.status();
   }
@@ -90,13 +134,10 @@ BatchedUdpTransport::BatchedUdpTransport(RealEventLoop* loop, NodeAddress addres
   }
   rx_cmsg_.resize(kRxBatch * kRxCmsgSpace);
   rx_scratch_.reserve(kRxBufBytes);
-  if (config_.gso) {
-    gso_enabled_ = true;
-    // GRO is best-effort: without it runs still arrive as individual
-    // datagrams, just without the coalescing win on the receive side.
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_UDP, UDP_GRO, &one, sizeof(one));
-  }
+  // GRO is best-effort: without it runs still arrive as individual
+  // datagrams, just without the coalescing win on the receive side.
+  int one = 1;
+  ::setsockopt(fd_, IPPROTO_UDP, UDP_GRO, &one, sizeof(one));
   RegisterMetrics(&own_metrics_);
 }
 
@@ -160,7 +201,7 @@ Status BatchedUdpTransport::Send(const NodeAddress& destination, const Bytes& da
   const uint32_t slot_index = free_slots_.back();
   free_slots_.pop_back();
   TxSlot& slot = tx_slots_[slot_index];
-  udp_internal::WriteVirtualHeader(address_, slot.data);
+  WriteVirtualHeader(address_, slot.data);
   std::memcpy(slot.data + kVirtualHeader, data.data(), data.size());
   slot.len = static_cast<uint32_t>(frame_len);
   slot.dest_port = destination.port;
@@ -181,7 +222,7 @@ Status BatchedUdpTransport::SendOversize(const NodeAddress& destination,
   // per-destination ordering.
   Flush(/*force=*/true);
   uint8_t frame[kMaxDatagram];
-  udp_internal::WriteVirtualHeader(address_, frame);
+  WriteVirtualHeader(address_, frame);
   std::memcpy(frame + kVirtualHeader, data.data(), data.size());
   sockaddr_in sa;
   FillSockaddr(destination.port, &sa);
@@ -363,7 +404,7 @@ void BatchedUdpTransport::SetReceiveHandler(ReceiveHandler handler) {
 
 void BatchedUdpTransport::DispatchDatagram(const uint8_t* buf, size_t len) {
   NodeAddress src;
-  if (!udp_internal::ReadVirtualHeader(buf, len, &src) || handler_ == nullptr) {
+  if (!ReadVirtualHeader(buf, len, &src) || handler_ == nullptr) {
     return;
   }
   recv_datagrams_.Increment();

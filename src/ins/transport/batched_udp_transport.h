@@ -1,8 +1,12 @@
-// Batched real-socket fast path: sendmmsg/recvmmsg + pacing.
+// Real UDP transport: sendmmsg/recvmmsg batching + optional pacing.
 //
-// Speaks exactly the UdpTransport wire format (6-byte virtual-source header,
-// loopback delivery to 127.0.0.1:<virtual port>) but amortizes syscalls and
-// eliminates per-packet allocation:
+// The runnable examples and the realnet tier deploy INRs, services and
+// clients as actual UDP endpoints on the loopback interface. INS
+// NodeAddresses are virtual: each datagram carries a 6-byte virtual-source
+// header (u32 ip, u16 port, big-endian) and is sent to 127.0.0.1:<virtual
+// port>, so a multi-process demo needs no configuration beyond distinct
+// ports. The transport amortizes syscalls and eliminates per-packet
+// allocation:
 //
 //   * Send() copies the frame into a preallocated transmit slot and enqueues
 //     its index on a fixed ring — no heap traffic. Slots are flushed with one
@@ -13,7 +17,7 @@
 //     kernel instead of one per datagram — and the receive socket enables
 //     UDP_GRO so such runs arrive re-coalesced and are split back into
 //     datagrams in user space. Both are transparent framing: every datagram
-//     on the wire is byte-identical to the unbatched transport's, and both
+//     on the wire is byte-identical to one sent on its own, and both
 //     sides degrade to plain sendmmsg/recvmmsg at runtime if the kernel
 //     refuses the options.
 //   * A full batch flushes inline; a partial batch waits up to `flush_delay`
@@ -48,10 +52,6 @@ struct BatchedUdpConfig {
   size_t max_queue = 4096;  // transmit slots; the backpressure bound
   // How long a partial batch may wait for coalescing before it is flushed.
   Duration flush_delay = Microseconds(200);
-  // Collapse runs of equal-length same-destination datagrams into one
-  // UDP_SEGMENT superpacket (and accept UDP_GRO coalesced buffers). Falls
-  // back to plain sendmmsg at runtime if the kernel rejects the option.
-  bool gso = true;
   PacerConfig pacer;
 };
 
@@ -123,7 +123,7 @@ class BatchedUdpTransport : public Transport {
 
   // Whether sends may still use UDP_SEGMENT; cleared on the first kernel
   // rejection so every later flush goes straight to plain sendmmsg.
-  bool gso_enabled_ = false;
+  bool gso_enabled_ = true;
 
   // Receive side: preallocated recvmmsg buffers (+ per-message control space
   // for the UDP_GRO segment-size cmsg) and one reusable payload.

@@ -1,8 +1,13 @@
 // Tests for BatchedUdpTransport: batching counters, queue backpressure
-// accounting, the oversize bypass, wire-format compatibility with
-// UdpTransport, and the zero-allocation guarantee on the hot path.
+// accounting, the oversize bypass, the wire format as a raw POSIX socket
+// sees it, bind failures, and the zero-allocation guarantee on the hot path.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -10,7 +15,6 @@
 
 #include "ins/common/metrics.h"
 #include "ins/transport/batched_udp_transport.h"
-#include "ins/transport/udp_transport.h"
 
 // --- Allocation-counting hook ------------------------------------------------
 // The acceptance criterion "zero per-packet heap allocation on the batched
@@ -97,36 +101,81 @@ TEST(BatchedUdpTest, RoundTripAndBatchingCounters) {
   EXPECT_LT(rx_metrics.Counter("transport.recv.batches"), 64u);
 }
 
-TEST(BatchedUdpTest, WireFormatMatchesPlainUdpTransport) {
-  // Both directions batched <-> plain: the frames must be interchangeable.
+// A blocking AF_INET UDP socket on 127.0.0.1:<port> with a receive timeout,
+// standing in for a peer that knows nothing of this transport's code.
+struct RawUdpSocket {
+  explicit RawUdpSocket(uint16_t port) : fd(::socket(AF_INET, SOCK_DGRAM, 0)) {
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in sa = Loopback(port);
+    bound = ::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) == 0;
+  }
+  ~RawUdpSocket() { ::close(fd); }
+
+  static sockaddr_in Loopback(uint16_t port) {
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_port = htons(port);
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return sa;
+  }
+  bool SendTo(uint16_t port, const Bytes& frame) {
+    sockaddr_in sa = Loopback(port);
+    return ::sendto(fd, frame.data(), frame.size(), 0, reinterpret_cast<sockaddr*>(&sa),
+                    sizeof(sa)) == static_cast<ssize_t>(frame.size());
+  }
+  Bytes Receive() {
+    uint8_t buf[2048];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    return n < 0 ? Bytes{} : Bytes(buf, buf + n);
+  }
+
+  int fd;
+  bool bound = false;
+};
+
+TEST(BatchedUdpTest, WireFormatMatchesRawSocket) {
   RealEventLoop loop;
   auto batched = BatchedUdpTransport::Bind(&loop, MakeAddress(7, 43421));
-  auto plain = UdpTransport::Bind(&loop, MakeAddress(8, 43422));
-  ASSERT_TRUE(batched.ok() && plain.ok());
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  RawUdpSocket raw(43422);
+  ASSERT_TRUE(raw.bound);
+  MetricsRegistry metrics;
+  (*batched)->AttachMetrics(&metrics);
 
-  Bytes got_at_plain;
-  Bytes got_at_batched;
-  NodeAddress src_at_plain;
-  NodeAddress src_at_batched;
-  (*plain)->SetReceiveHandler([&](const NodeAddress& src, const Bytes& data) {
-    src_at_plain = src;
-    got_at_plain = data;
-    (*plain)->Send(MakeAddress(7, 43421), {4, 5, 6});
-  });
-  (*batched)->SetReceiveHandler([&](const NodeAddress& src, const Bytes& data) {
-    src_at_batched = src;
-    got_at_batched = data;
-    loop.Stop();
-  });
-
+  // Outbound: exactly the big-endian (ip, port) virtual-source header of
+  // 10.0.0.7:43421, then the payload.
   ASSERT_TRUE((*batched)->Send(MakeAddress(8, 43422), {1, 2, 3}).ok());
   (*batched)->FlushNow();
-  loop.RunFor(Seconds(5));
+  EXPECT_EQ(raw.Receive(), (Bytes{0x0a, 0x00, 0x00, 0x07, 0xa9, 0x9d, 1, 2, 3}));
 
-  EXPECT_EQ(got_at_plain, (Bytes{1, 2, 3}));
-  EXPECT_EQ(src_at_plain, MakeAddress(7, 43421));
-  EXPECT_EQ(got_at_batched, (Bytes{4, 5, 6}));
-  EXPECT_EQ(src_at_batched, MakeAddress(8, 43422));
+  // Inbound: a runt shorter than the header never reaches the handler; a
+  // hand-built frame arrives with its claimed source and its payload.
+  int calls = 0;
+  NodeAddress src;
+  Bytes got;
+  (*batched)->SetReceiveHandler([&](const NodeAddress& from, const Bytes& data) {
+    ++calls;
+    src = from;
+    got = data;
+    loop.Stop();
+  });
+  ASSERT_TRUE(raw.SendTo(43421, {0x0a, 0x00, 0x00, 0x08, 0xa9}));
+  ASSERT_TRUE(raw.SendTo(43421, {0x0a, 0x00, 0x00, 0x08, 0xa9, 0x9e, 4, 5, 6}));
+  loop.RunFor(Seconds(5));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(src, MakeAddress(8, 43422));
+  EXPECT_EQ(got, (Bytes{4, 5, 6}));
+  EXPECT_EQ(metrics.Counter("transport.recv.datagrams"), 1u);
+}
+
+TEST(BatchedUdpTest, BindConflictFails) {
+  RealEventLoop loop;
+  auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, 43471));
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, 43471));
+  EXPECT_FALSE(b.ok());
 }
 
 TEST(BatchedUdpTest, CoalescingTimerFlushesPartialBatch) {

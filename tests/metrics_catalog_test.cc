@@ -22,6 +22,7 @@
 #include "ins/client/api.h"
 #include "ins/harness/cluster.h"
 #include "ins/name/parser.h"
+#include "ins/transport/batched_udp_transport.h"
 
 #ifndef INS_METRICS_MD_PATH
 #error "INS_METRICS_MD_PATH must point at METRICS.md"
@@ -92,18 +93,11 @@ void ParseCatalogue(std::set<std::string>* documented) {
 }
 
 // Documented names whose registration needs an event this deterministic
-// scenario cannot cheaply provoke (real-socket error paths, rare protocol
-// repairs). Each stays documented; this list only waives the "must register
-// here" direction, and shrinking it is always safe.
+// scenario cannot cheaply provoke (error paths, rare protocol repairs). Each
+// stays documented; this list only waives the "must register here"
+// direction, and shrinking it is always safe.
 const std::set<std::string>& EventOnlyExemptions() {
   static const std::set<std::string> kExempt = {
-      // Real-socket transports: registered by AttachMetrics on a live UDP
-      // socket (realnet tier), absent from the sim-only scenario.
-      "transport.send.datagrams", "transport.recv.datagrams", "transport.send.batches",
-      "transport.recv.batches", "transport.send.batch_fill", "transport.send.oversize_direct",
-      "transport.send.write_blocked", "transport.pacer.delays", "transport.send.gso_batches",
-      "transport.recv.gro_splits", "transport.drop.backpressure", "transport.drop.error",
-      "transport.drop.oversize", "transport.drop.short_write",
       // Registered only when their event first fires; this healthy three-node
       // scenario never attaches via DSR discovery, multicasts, resolves
       // early, expires names, or loses a neighbor.
@@ -244,6 +238,15 @@ void CollectRuntimeNames(std::set<std::string>* runtime) {
   absorb(cluster.faults().metrics().Snapshot());
   absorb(service.client->metrics().Snapshot());
   absorb(user.client->metrics().Snapshot());
+
+  // The sim cluster has no sockets: the transport.* names come from one real
+  // transport attached to a registry of its own.
+  RealEventLoop real_loop;
+  auto transport = BatchedUdpTransport::Bind(&real_loop, MakeAddress(50, 43481));
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  MetricsRegistry transport_metrics;
+  (*transport)->AttachMetrics(&transport_metrics);
+  absorb(transport_metrics.Snapshot());
 }
 
 TEST(MetricsCatalogTest, RuntimeAndCatalogueAgree) {

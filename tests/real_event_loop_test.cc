@@ -128,6 +128,27 @@ TEST(TimerWheelTest, ManyTimersAcrossSlotsAllFire) {
   EXPECT_EQ(wheel.live(), 0u);
 }
 
+TEST(RealEventLoopTest, TimersFire) {
+  RealEventLoop loop;
+  int fired = 0;
+  loop.ScheduleAfter(Milliseconds(10), [&] { ++fired; });
+  loop.ScheduleAfter(Milliseconds(20), [&] {
+    ++fired;
+    loop.Stop();
+  });
+  loop.RunFor(Seconds(2));
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(RealEventLoopTest, CancelWorks) {
+  RealEventLoop loop;
+  bool ran = false;
+  TaskId id = loop.ScheduleAfter(Milliseconds(5), [&] { ran = true; });
+  EXPECT_TRUE(loop.Cancel(id));
+  loop.RunFor(Milliseconds(30));
+  EXPECT_FALSE(ran);
+}
+
 TEST(RealEventLoopTest, IdleLoopSleepsUntilNextTimer) {
   // The satellite bugfix: with one timer 150 ms out, the loop must park in
   // epoll until (about) that deadline instead of waking every 100 ms — and
