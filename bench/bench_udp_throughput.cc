@@ -9,16 +9,16 @@
 //
 // Series: sim::Network on a zero-latency link driven by its EventLoop (the
 // no-syscall ceiling, and what the tier-1 suite runs on), and
-// BatchedUdpTransport at 1/8/64 datagrams per sendmmsg, pacing off and on.
+// BatchedUdpTransport at 1/8/64 datagrams per sendmmsg.
 //
-// Invariant (exit 1): with pacing off, batch 64 must move >= 2x the
-// datagrams/s of batch 1 — the syscall amortization the transport exists
-// for. CI runs this gate on every push.
+// Invariant (exit 1): batch 64 must move >= 2x the datagrams/s of batch 1 —
+// the syscall amortization the transport exists for. CI runs this gate on
+// every push.
 //
 // Writes a JSON report (argv[1], default bench_udp_throughput.json):
 //   {"bench": "udp_throughput", "payload_bytes": 64, "datagrams": ...,
 //    "batch64_vs_batch1": ..., "series": [{"transport": "batched", "batch": 64,
-//    "pacing": false, "datagrams_per_sec": ..., "p50_us": ..., "p99_us": ...,
+//    "datagrams_per_sec": ..., "p50_us": ..., "p99_us": ...,
 //    "delivered_fraction": ...}, ...]}
 
 #include <chrono>
@@ -42,7 +42,6 @@ constexpr uint16_t kBasePort = 46100;
 struct RunResult {
   std::string transport;
   size_t batch = 0;
-  bool pacing = false;
   double datagrams_per_sec = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -148,18 +147,13 @@ RunResult RunSim() {
   return r;
 }
 
-RunResult RunBatched(size_t batch, bool pacing, uint16_t port) {
+RunResult RunBatched(size_t batch, uint16_t port) {
   RealEventLoop loop;
   BatchedUdpConfig config;
   config.batch_size = batch;
   // Keep the coalescing window tight: this bench measures throughput, and a
   // sub-batch tail should not idle for long.
   config.flush_delay = Microseconds(100);
-  if (pacing) {
-    config.pacer.enabled = true;
-    config.pacer.rate_bytes_per_sec = 512ull * 1024 * 1024;
-    config.pacer.burst_bytes = 1024 * 1024;
-  }
   auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, port), config);
   auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, port + 1), config);
   if (!a.ok() || !b.ok()) {
@@ -169,15 +163,13 @@ RunResult RunBatched(size_t batch, bool pacing, uint16_t port) {
   }
   RunResult r = RunReal(loop, **a, **b, MakeAddress(2, port + 1));
   r.batch = batch;
-  r.pacing = pacing;
   return r;
 }
 
 void PrintRow(const RunResult& r) {
-  std::printf("%-8s %-6s %-7s %14.0f %10.1f %10.1f %10.3f\n", r.transport.c_str(),
-              r.batch == 0 ? "-" : std::to_string(r.batch).c_str(),
-              r.transport == "batched" ? (r.pacing ? "on" : "off") : "-",
-              r.datagrams_per_sec, r.p50_us, r.p99_us, r.delivered_fraction);
+  std::printf("%-8s %-6s %14.0f %10.1f %10.1f %10.3f\n", r.transport.c_str(),
+              r.batch == 0 ? "-" : std::to_string(r.batch).c_str(), r.datagrams_per_sec,
+              r.p50_us, r.p99_us, r.delivered_fraction);
 }
 
 }  // namespace
@@ -187,8 +179,8 @@ int main(int argc, char** argv) {
 
   std::printf("udp throughput: %llu datagrams of %zu bytes, loopback\n",
               static_cast<unsigned long long>(kDatagrams), kPayloadBytes);
-  std::printf("%-8s %-6s %-7s %14s %10s %10s %10s\n", "mode", "batch", "pacing",
-              "datagrams/s", "p50 us", "p99 us", "delivered");
+  std::printf("%-8s %-6s %14s %10s %10s %10s\n", "mode", "batch", "datagrams/s", "p50 us",
+              "p99 us", "delivered");
 
   std::vector<RunResult> series;
   series.push_back(RunSim());
@@ -197,17 +189,15 @@ int main(int argc, char** argv) {
   uint16_t port = kBasePort + 10;
   double batch1 = 0;
   double batch64 = 0;
-  for (bool pacing : {false, true}) {
-    for (size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
-      series.push_back(RunBatched(batch, pacing, port));
-      port += 2;
-      PrintRow(series.back());
-      if (!pacing && batch == 1) {
-        batch1 = series.back().datagrams_per_sec;
-      }
-      if (!pacing && batch == 64) {
-        batch64 = series.back().datagrams_per_sec;
-      }
+  for (size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
+    series.push_back(RunBatched(batch, port));
+    port += 2;
+    PrintRow(series.back());
+    if (batch == 1) {
+      batch1 = series.back().datagrams_per_sec;
+    }
+    if (batch == 64) {
+      batch64 = series.back().datagrams_per_sec;
     }
   }
 
@@ -231,11 +221,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < series.size(); ++i) {
     const RunResult& r = series[i];
     std::fprintf(f,
-                 "    {\"transport\": \"%s\", \"batch\": %zu, \"pacing\": %s, "
+                 "    {\"transport\": \"%s\", \"batch\": %zu, "
                  "\"datagrams_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
                  "\"delivered_fraction\": %.4f}%s\n",
-                 r.transport.c_str(), r.batch, r.pacing ? "true" : "false",
-                 r.datagrams_per_sec, r.p50_us, r.p99_us, r.delivered_fraction,
+                 r.transport.c_str(), r.batch, r.datagrams_per_sec, r.p50_us, r.p99_us,
+                 r.delivered_fraction,
                  i + 1 < series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -6,8 +6,7 @@
 // with early binding, and exchanges a message with it via intentional
 // anycast — no hostnames or addresses anywhere in the application code.
 //
-// Every endpoint is a BatchedUdpTransport (sendmmsg/recvmmsg batching; the
-// pacer stays off at its default).
+// Every endpoint is a BatchedUdpTransport (sendmmsg/recvmmsg batching).
 //
 //   $ ./quickstart
 

@@ -24,10 +24,6 @@ std::string_view FlightEventKindName(FlightEventKind kind) {
       return "edge-repair";
     case FlightEventKind::kParentLost:
       return "parent-lost";
-    case FlightEventKind::kPacerBackoff:
-      return "pacer-backoff";
-    case FlightEventKind::kPacerRelease:
-      return "pacer-release";
     case FlightEventKind::kInrStart:
       return "inr-start";
     case FlightEventKind::kInrStop:

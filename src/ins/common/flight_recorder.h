@@ -4,11 +4,11 @@
 // packet; the flight recorder explains what happened to the NODE: overload
 // shedding switching on and off, replica-set members dying and failing over,
 // journal transfers falling back to snapshots, overlay edges breaking and
-// repairing, the pacer backing off, resolvers restarting. Each node records
-// into a fixed-capacity overwrite-oldest ring (same discipline as TraceRing:
-// bounded memory however long a soak runs, newest events win). Recording an
-// event is a few stores — details have static storage, nothing allocates —
-// so it stays on in production and in every chaos soak.
+// repairing, resolvers restarting. Each node records into a fixed-capacity
+// overwrite-oldest ring (same discipline as TraceRing: bounded memory
+// however long a soak runs, newest events win). Recording an event is a few
+// stores — details have static storage, nothing allocates — so it stays on
+// in production and in every chaos soak.
 //
 // On a failure the harness merges every node's ring (including rings
 // harvested from crashed nodes) into one causally-ordered incident timeline
@@ -39,8 +39,7 @@ enum class FlightEventKind : uint8_t {
   kEdgeDown = 5,         // overlay neighbor lost; peer = who
   kEdgeRepair = 6,       // overlay neighbor (re)established; peer = who
   kParentLost = 7,       // the join parent died; the node re-runs the join
-  kPacerBackoff = 8,     // load signal engaged the pacer; value = signal us
-  kPacerRelease = 9,     // load signal released the pacer
+  // 8 and 9 are retired (pacer backoff/release); the values stay unused.
   kInrStart = 10,        // resolver started (first start or restart)
   kInrStop = 11,         // graceful stop
   kInrCrash = 12,        // injected silent death

@@ -40,9 +40,9 @@ class Transport {
   // have nothing to report).
   virtual void AttachMetrics(MetricsRegistry* metrics) { (void)metrics; }
 
-  // Load feedback from the owning node (the AdmissionController's smoothed
-  // queueing-delay signal). Pacing transports slow their send rate as the
-  // node saturates; everything else ignores it.
+  // No-op; nothing in the library calls it. It stays only because the
+  // inr_hop benchmark's tracing transport (inr_hop/src/hop_tracer.h)
+  // overrides it; delete it together with that override.
   virtual void OnLoadSignal(Duration load) { (void)load; }
 };
 

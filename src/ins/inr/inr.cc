@@ -141,9 +141,6 @@ void Inr::Start() {
   if (config_.netmon.advertise) {
     AdvertiseNetmon();
   }
-  if (config_.admission.enabled && config_.pacer_feedback_interval.count() > 0) {
-    PacerFeedbackTick();
-  }
   flight_.Record(executor_->Now(), FlightEventKind::kInrStart, FlightSeverity::kInfo);
   INS_LOG(kDebug) << "INR " << address().ToString() << " started";
 }
@@ -157,10 +154,6 @@ void Inr::Stop() {
   if (netmon_task_ != kInvalidTaskId) {
     executor_->Cancel(netmon_task_);
     netmon_task_ = kInvalidTaskId;
-  }
-  if (pacer_task_ != kInvalidTaskId) {
-    executor_->Cancel(pacer_task_);
-    pacer_task_ = kInvalidTaskId;
   }
   load_balancer_->Stop();
   replication_->Stop();
@@ -185,10 +178,6 @@ void Inr::Crash() {
   if (netmon_task_ != kInvalidTaskId) {
     executor_->Cancel(netmon_task_);
     netmon_task_ = kInvalidTaskId;
-  }
-  if (pacer_task_ != kInvalidTaskId) {
-    executor_->Cancel(pacer_task_);
-    pacer_task_ = kInvalidTaskId;
   }
   load_balancer_->Stop();
   replication_->Stop();
@@ -420,6 +409,10 @@ void Inr::RefreshInventoryGauges() {
   metrics_.SetGauge("inr.neighbors",
                     static_cast<int64_t>(topology_->NeighborAddresses().size()));
   metrics_.SetGauge("inr.vspaces", static_cast<int64_t>(spaces.size()));
+  // The instruments' own blind spots: events lost to ring overwrites.
+  metrics_.SetGauge("inr.trace_ring.overwritten",
+                    static_cast<int64_t>(trace_ring_.overwritten()));
+  metrics_.SetGauge("inr.flight.overwritten", static_cast<int64_t>(flight_.overwritten()));
 }
 
 void Inr::HandleMetricsRequest(const NodeAddress& src, const MetricsRequest& req) {
@@ -474,30 +467,6 @@ void Inr::AdvertiseNetmon() {
     netmon_task_ = kInvalidTaskId;
     if (running_) {
       AdvertiseNetmon();
-    }
-  });
-}
-
-void Inr::PacerFeedbackTick() {
-  const Duration signal = admission_->LoadSignal();
-  transport_->OnLoadSignal(signal);
-  // Flight-record the edges of the pacer feedback loop. The knee mirrors
-  // PacerConfig::load_floor's default: below it the pacer runs at full rate.
-  static constexpr Duration kBackoffKnee = Milliseconds(5);
-  if (!pacer_backing_off_ && signal >= kBackoffKnee) {
-    pacer_backing_off_ = true;
-    flight_.Record(executor_->Now(), FlightEventKind::kPacerBackoff,
-                   FlightSeverity::kWarning, "", {},
-                   static_cast<uint64_t>(signal.count()));
-  } else if (pacer_backing_off_ && signal < kBackoffKnee) {
-    pacer_backing_off_ = false;
-    flight_.Record(executor_->Now(), FlightEventKind::kPacerRelease, FlightSeverity::kInfo,
-                   "", {}, static_cast<uint64_t>(signal.count()));
-  }
-  pacer_task_ = executor_->ScheduleAfter(config_.pacer_feedback_interval, [this] {
-    pacer_task_ = kInvalidTaskId;
-    if (running_) {
-      PacerFeedbackTick();
     }
   });
 }

@@ -61,10 +61,6 @@ struct InrConfig {
   // Overload control on the ingress path; disabled by default (seed
   // behaviour: every message dispatches inline).
   AdmissionConfig admission;
-  // How often the admission load signal is fed to the transport's pacer
-  // (Transport::OnLoadSignal); only runs while admission is enabled. Zero
-  // disables the feedback loop.
-  Duration pacer_feedback_interval = Milliseconds(100);
   // Journaled delta replication with anti-entropy digests; disabled by
   // default (seed behaviour: periodic full re-announcement only). Enabling it
   // turns on store journaling and suppresses the periodic refresh storm.
@@ -136,14 +132,12 @@ class Inr {
   void HandleDiscoveryRequest(const NodeAddress& src, const DiscoveryRequest& req);
   void HandleMetricsRequest(const NodeAddress& src, const MetricsRequest& req);
   void HandleMetricsDeltaRequest(const NodeAddress& src, const MetricsDeltaRequest& req);
-  // Updates the inventory gauges (inr.names / inr.neighbors / inr.vspaces)
-  // that only need to be current when a snapshot leaves the node.
+  // Updates the inventory gauges (inr.names / inr.neighbors / inr.vspaces,
+  // and the trace-ring and flight-recorder overwrite counts) that only need
+  // to be current when a snapshot leaves the node.
   void RefreshInventoryGauges();
   // Periodic [service=netmon] self-advertisement (NetmonConfig.advertise).
   void AdvertiseNetmon();
-  // Feeds the admission load signal into the transport's pacer and
-  // reschedules itself (InrConfig.pacer_feedback_interval).
-  void PacerFeedbackTick();
 
   Executor* executor_;
   Transport* transport_;
@@ -152,9 +146,6 @@ class Inr {
   TraceRing trace_ring_;
   FlightRecorder flight_;
   MetricsTimeSeries timeseries_;
-  // Whether the pacer-feedback loop last reported a load signal above the
-  // backoff knee; edges of this bit become flight-recorder events.
-  bool pacer_backing_off_ = false;
   // Cached address().ToString(): the log-context tag installed around every
   // message this resolver handles.
   std::string log_tag_;
@@ -164,7 +155,6 @@ class Inr {
   // may be relinquished when a DSR set answer shows the set full without us.
   std::set<std::string> invited_spaces_;
   TaskId netmon_task_ = kInvalidTaskId;
-  TaskId pacer_task_ = kInvalidTaskId;
   uint64_t netmon_version_ = 0;
   CounterHandle messages_;
   CounterHandle bytes_received_;

@@ -117,8 +117,7 @@ Result<std::unique_ptr<BatchedUdpTransport>> BatchedUdpTransport::Bind(
 
 BatchedUdpTransport::BatchedUdpTransport(RealEventLoop* loop, NodeAddress address,
                                          int fd, const BatchedUdpConfig& config)
-    : loop_(loop), address_(address), fd_(fd), config_(config),
-      pacer_(config.pacer, loop->Now()) {
+    : loop_(loop), address_(address), fd_(fd), config_(config) {
   if (config_.batch_size > kMaxSendBatch) {
     config_.batch_size = kMaxSendBatch;
   }
@@ -159,7 +158,6 @@ void BatchedUdpTransport::RegisterMetrics(MetricsRegistry* metrics) {
   drop_oversize_ = metrics->RegisterCounter("transport.drop.oversize");
   oversize_direct_ = metrics->RegisterCounter("transport.send.oversize_direct");
   write_blocks_ = metrics->RegisterCounter("transport.send.write_blocked");
-  pacer_delays_ = metrics->RegisterCounter("transport.pacer.delays");
   gso_batches_ = metrics->RegisterCounter("transport.send.gso_batches");
   gro_splits_ = metrics->RegisterCounter("transport.recv.gro_splits");
   batch_fill_ = metrics->RegisterHistogram("transport.send.batch_fill");
@@ -271,21 +269,6 @@ void BatchedUdpTransport::Flush(bool force) {
 
   while (ring_count_ >= (force ? 1 : config_.batch_size)) {
     const size_t want = ring_count_ < config_.batch_size ? ring_count_ : config_.batch_size;
-    uint64_t batch_bytes = 0;
-    for (size_t i = 0; i < want; ++i) {
-      const TxSlot& slot = tx_slots_[ring_[(ring_head_ + i) % ring_.size()]];
-      batch_bytes += slot.len;
-    }
-    if (pacer_.enabled()) {
-      const Duration delay = pacer_.DelayFor(batch_bytes, loop_->Now());
-      if (delay.count() > 0) {
-        pacer_delays_.Increment();
-        if (flush_task_ == kInvalidTaskId) {
-          ScheduleFlush(delay);
-        }
-        return;
-      }
-    }
     // One mmsghdr per wire group. A group is a run of consecutive datagrams
     // with the same destination and length — with GSO those collapse into a
     // single UDP_SEGMENT superpacket (one skb through the kernel); without
@@ -361,11 +344,9 @@ void BatchedUdpTransport::Flush(bool force) {
       }
       continue;
     }
-    uint64_t committed = 0;
     uint64_t committed_datagrams = 0;
     for (int g = 0; g < sent; ++g) {
       for (size_t j = 0; j < group_slots[g]; ++j) {
-        committed += tx_slots_[ring_[ring_head_]].len;
         free_slots_.push_back(RingPop());
         ++committed_datagrams;
       }
@@ -373,7 +354,6 @@ void BatchedUdpTransport::Flush(bool force) {
         gso_batches_.Increment();
       }
     }
-    pacer_.Commit(committed);
     sent_datagrams_.Increment(committed_datagrams);
     send_batches_.Increment();
     batch_fill_.Record(committed_datagrams);

@@ -1,4 +1,4 @@
-// Real UDP transport: sendmmsg/recvmmsg batching + optional pacing.
+// Real UDP transport: sendmmsg/recvmmsg batching.
 //
 // The runnable examples and the realnet tier deploy INRs, services and
 // clients as actual UDP endpoints on the loopback interface. INS
@@ -30,8 +30,6 @@
 //     queue holds the datagrams and EPOLLOUT resumes the flush; when the
 //     queue itself fills, Send() fails typed (kResourceExhausted) and the
 //     drop is counted — bounded backpressure, never silent loss.
-//   * An optional Pacer spaces flushes at a configured rate, with the owning
-//     node's admission load signal feeding back into that rate.
 
 #ifndef INS_TRANSPORT_BATCHED_UDP_TRANSPORT_H_
 #define INS_TRANSPORT_BATCHED_UDP_TRANSPORT_H_
@@ -42,7 +40,6 @@
 
 #include "ins/common/metrics.h"
 #include "ins/common/transport.h"
-#include "ins/transport/pacer.h"
 #include "ins/transport/real_event_loop.h"
 
 namespace ins {
@@ -52,7 +49,6 @@ struct BatchedUdpConfig {
   size_t max_queue = 4096;  // transmit slots; the backpressure bound
   // How long a partial batch may wait for coalescing before it is flushed.
   Duration flush_delay = Microseconds(200);
-  PacerConfig pacer;
 };
 
 class BatchedUdpTransport : public Transport {
@@ -72,14 +68,12 @@ class BatchedUdpTransport : public Transport {
   void SetReceiveHandler(ReceiveHandler handler) override;
   NodeAddress local_address() const override { return address_; }
   void AttachMetrics(MetricsRegistry* metrics) override;
-  void OnLoadSignal(Duration load) override { pacer_.OnLoadSignal(load); }
 
-  // Sends everything queued, ignoring the coalescing window (still paced and
-  // still subject to kernel backpressure). Tests and shutdown paths use it.
+  // Sends everything queued, ignoring the coalescing window (still subject
+  // to kernel backpressure). Tests and shutdown paths use it.
   void FlushNow();
 
   size_t queued() const { return ring_count_; }
-  const Pacer& pacer() const { return pacer_; }
 
  private:
   struct TxSlot {
@@ -92,7 +86,7 @@ class BatchedUdpTransport : public Transport {
                       const BatchedUdpConfig& config);
   void RegisterMetrics(MetricsRegistry* metrics);
 
-  // Sends as many full batches as pacing and the kernel allow; arranges a
+  // Sends as many full batches as the kernel allows; arranges a
   // timer or EPOLLOUT continuation for whatever remains.
   void Flush(bool force);
   void ScheduleFlush(Duration delay);
@@ -110,7 +104,6 @@ class BatchedUdpTransport : public Transport {
   int fd_;
   BatchedUdpConfig config_;
   ReceiveHandler handler_;
-  Pacer pacer_;
 
   // Transmit side: slot pool + free stack + pending ring.
   std::vector<TxSlot> tx_slots_;
@@ -141,7 +134,6 @@ class BatchedUdpTransport : public Transport {
   CounterHandle drop_oversize_;    // transport.drop.oversize
   CounterHandle oversize_direct_;  // transport.send.oversize_direct
   CounterHandle write_blocks_;     // transport.send.write_blocked
-  CounterHandle pacer_delays_;     // transport.pacer.delays
   CounterHandle gso_batches_;      // transport.send.gso_batches
   CounterHandle gro_splits_;       // transport.recv.gro_splits
   HistogramHandle batch_fill_;     // transport.send.batch_fill

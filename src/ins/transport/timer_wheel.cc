@@ -5,28 +5,28 @@
 namespace ins {
 
 uint32_t TimerWheel::AllocNode() {
-  if (!free_nodes_.empty()) {
-    uint32_t idx = free_nodes_.back();
-    free_nodes_.pop_back();
-    pool_[idx].freed = false;
-    pool_[idx].cancelled = false;
-    pool_[idx].next = kNil;
-    return idx;
+  uint32_t idx = free_head_;
+  if (idx != kNil) {
+    free_head_ = pool_[idx].next;
+  } else {
+    idx = static_cast<uint32_t>(pool_.size());
+    pool_.emplace_back();
   }
-  pool_.emplace_back();
-  Node& n = pool_.back();
+  Node& n = pool_[idx];
   n.freed = false;
   n.cancelled = false;
-  return static_cast<uint32_t>(pool_.size() - 1);
+  n.next = kNil;
+  return idx;
 }
 
 void TimerWheel::FreeNode(uint32_t idx) {
   Node& n = pool_[idx];
   n.fn = nullptr;
   n.freed = true;
-  n.next = kNil;
   ++n.generation;
-  free_nodes_.push_back(idx);
+  // A freed node is in no slot list, so its link threads the free list.
+  n.next = free_head_;
+  free_head_ = idx;
 }
 
 void TimerWheel::Append(Slot* slot, uint32_t idx) {

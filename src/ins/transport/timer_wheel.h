@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "ins/common/clock.h"
 #include "ins/common/executor.h"
@@ -100,7 +99,7 @@ class TimerWheel {
   size_t live_ = 0;
   // Deque: node pointers/indices stay valid as the pool grows mid-fire.
   std::deque<Node> pool_;
-  std::vector<uint32_t> free_nodes_;
+  uint32_t free_head_ = kNil;  // free list, threaded through Node::next
   Slot slots_[kLevels][kSlotsPerLevel];
   size_t level_nodes_[kLevels] = {0, 0, 0, 0};
   Slot due_;  // already-due timers, fired first by the next Advance()

@@ -1,63 +1,31 @@
 // Tests for BatchedUdpTransport: batching counters, queue backpressure
-// accounting, the oversize bypass, the wire format as a raw POSIX socket
-// sees it, bind failures, and the zero-allocation guarantee on the hot path.
+// accounting under real kernel pushback, the oversize bypass, the wire format
+// as a raw POSIX socket sees it, bind failures, and the zero-allocation
+// guarantee on the hot path.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <cerrno>
+#include <cstddef>
+#include <cstdio>
 #include <cstdlib>
-#include <new>
+#include <iterator>
 
+#include "alloc_window.h"
 #include "ins/common/metrics.h"
 #include "ins/transport/batched_udp_transport.h"
 
-// --- Allocation-counting hook ------------------------------------------------
-// The acceptance criterion "zero per-packet heap allocation on the batched
-// send/receive hot path" is verified literally: this binary replaces global
-// operator new and counts allocations while a test window is open.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(size_t size) { return CountedAlloc(size); }
-void* operator new[](size_t size) { return CountedAlloc(size); }
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  return std::malloc(size == 0 ? 1 : size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-
 namespace ins {
 namespace {
-
-struct AllocWindow {
-  AllocWindow() {
-    g_allocs.store(0);
-    g_count_allocs.store(true);
-  }
-  ~AllocWindow() { g_count_allocs.store(false); }
-  uint64_t count() const { return g_allocs.load(); }
-};
 
 TEST(BatchedUdpTest, RoundTripAndBatchingCounters) {
   RealEventLoop loop;
@@ -202,42 +170,78 @@ TEST(BatchedUdpTest, CoalescingTimerFlushesPartialBatch) {
   EXPECT_EQ((*a)->queued(), 0u);
 }
 
-TEST(BatchedUdpTest, QueueOverflowIsTypedAndCounted) {
-  // Throttle the pacer so nothing drains, then flood past max_queue: every
-  // rejected datagram must surface as kResourceExhausted AND be counted, and
-  // accepted = queued + sent must hold exactly (no silent loss).
+// Makes every later sendmmsg in this process fail with EAGAIN, the kernel
+// pushback that loopback never produces on its own: a four-instruction
+// seccomp filter (load the syscall number; sendmmsg -> errno; else allow).
+bool RefuseSendmmsgWithEagain() {
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_sendmmsg, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | (EAGAIN & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog program{static_cast<unsigned short>(std::size(filter)), filter};
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &program) == 0;
+}
+
+// The death-test child of QueueOverflowIsTypedAndCounted. Returns its exit
+// code: 0 when every expectation holds, otherwise non-zero after printing
+// what it saw.
+int FloodUnderKernelPushback() {
+  if (!RefuseSendmmsgWithEagain()) {
+    std::perror("prctl(seccomp)");
+    return 2;
+  }
   RealEventLoop loop;
   BatchedUdpConfig config;
   config.batch_size = 16;
   config.max_queue = 64;
-  config.pacer.enabled = true;
-  config.pacer.rate_bytes_per_sec = 1;  // effectively frozen
-  config.pacer.burst_bytes = 1;
-  config.pacer.pacing_gain = 1.0;
   auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, 43441), config);
-  ASSERT_TRUE(a.ok());
+  if (!a.ok()) {
+    std::fprintf(stderr, "bind: %s\n", a.status().ToString().c_str());
+    return 3;
+  }
   MetricsRegistry metrics;
   (*a)->AttachMetrics(&metrics);
 
-  const int attempts = 500;
   int accepted = 0;
   int rejected = 0;
-  for (int i = 0; i < attempts; ++i) {
+  int untyped = 0;
+  for (int i = 0; i < 500; ++i) {
     Status s = (*a)->Send(MakeAddress(2, 43442), {1, 2, 3, 4});
     if (s.ok()) {
       ++accepted;
-    } else {
-      ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << s;
+    } else if (s.code() == StatusCode::kResourceExhausted) {
       ++rejected;
+    } else {
+      ++untyped;
     }
   }
-  EXPECT_EQ(accepted, 64);
-  EXPECT_EQ(rejected, attempts - 64);
-  EXPECT_EQ(metrics.Counter("transport.drop.backpressure"),
-            static_cast<uint64_t>(rejected));
-  EXPECT_EQ(metrics.Counter("transport.send.datagrams") + (*a)->queued(),
-            static_cast<uint64_t>(accepted));
-  EXPECT_GE(metrics.Counter("transport.pacer.delays"), 1u);
+  const uint64_t backpressure = metrics.Counter("transport.drop.backpressure");
+  const uint64_t sent_or_queued = metrics.Counter("transport.send.datagrams") + (*a)->queued();
+  const uint64_t write_blocked = metrics.Counter("transport.send.write_blocked");
+  if (accepted != 64 || rejected != 436 || untyped != 0 || backpressure != 436 ||
+      sent_or_queued != 64 || write_blocked != 1) {
+    std::fprintf(stderr,
+                 "accepted=%d rejected=%d untyped=%d backpressure=%llu "
+                 "sent+queued=%llu write_blocked=%llu\n",
+                 accepted, rejected, untyped, static_cast<unsigned long long>(backpressure),
+                 static_cast<unsigned long long>(sent_or_queued),
+                 static_cast<unsigned long long>(write_blocked));
+    return 1;
+  }
+  return 0;
+}
+
+TEST(BatchedUdpTest, QueueOverflowIsTypedAndCounted) {
+  // Under kernel pushback the first full batch's sendmmsg fails with EAGAIN,
+  // which parks the ring until EPOLLOUT; the flood then fills all max_queue
+  // slots. Every datagram past that must surface as kResourceExhausted AND
+  // be counted, and accepted = queued + sent must hold exactly (no silent
+  // loss). The seccomp filter cannot be removed again, so the flood runs in
+  // a forked child; _exit skips the child's atexit handlers.
+  EXPECT_EXIT(_exit(FloodUnderKernelPushback()), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(BatchedUdpTest, OversizeFramesBypassTheRing) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -250,9 +251,11 @@ SoakResult RunSoak(uint64_t seed, bool replication = false) {
           trace << (m->address().ip & 0xFFu) << ",";
         }
         trace << "h" << host << ";";
+        // The probe INR must outlive the kill, so it comes from outside the
+        // whole replica set (which may have grown past k members).
         Inr* probe_inr = nullptr;
         for (Inr* inr : cluster.inrs()) {
-          if (inr != members[0] && inr != members[1]) {
+          if (std::find(members.begin(), members.end(), inr) == members.end()) {
             probe_inr = inr;
             break;
           }
@@ -260,6 +263,10 @@ SoakResult RunSoak(uint64_t seed, bool replication = false) {
         if (probe_inr == nullptr) {
           trace << "skip;";
           cluster.loop().RunFor(window);
+          break;
+        }
+        if (probe_inr == victim) {  // the crash below would free the probe
+          fail("round " + std::to_string(round) + ": the replica-kill victim is the probe INR");
           break;
         }
         trace << "p" << (probe_inr->address().ip & 0xFFu) << ";";

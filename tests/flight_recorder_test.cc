@@ -73,11 +73,11 @@ TEST(MergeFlightEventsTest, OrdersByTimeWithStableTies) {
 TEST(MergeFlightEventsTest, TimelineTextCarriesEveryEvent) {
   FlightRecorder rec(8);
   rec.set_node(Addr(7));
-  rec.Record(At(1), FlightEventKind::kPacerBackoff, FlightSeverity::kWarning, "", {}, 1500);
-  rec.Record(At(2), FlightEventKind::kPacerRelease, FlightSeverity::kInfo);
+  rec.Record(At(1), FlightEventKind::kShedOnset, FlightSeverity::kWarning, "", {}, 1500);
+  rec.Record(At(2), FlightEventKind::kShedClear, FlightSeverity::kInfo);
   std::string text = FlightTimelineText(MergeFlightEvents(rec.Events()));
-  EXPECT_NE(text.find("pacer-backoff"), std::string::npos);
-  EXPECT_NE(text.find("pacer-release"), std::string::npos);
+  EXPECT_NE(text.find("shed-onset"), std::string::npos);
+  EXPECT_NE(text.find("shed-clear"), std::string::npos);
   EXPECT_NE(text.find("10.0.0.7"), std::string::npos);
   EXPECT_NE(text.find("WARN"), std::string::npos);
 }

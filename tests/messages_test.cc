@@ -2,53 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_window.h"
 #include "ins/wire/messages.h"
-
-// --- Allocation-counting hook ------------------------------------------------
-// This binary replaces global operator new and sums the bytes requested while
-// a test window is open, so a decoder's allocations can be bounded literally.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<uint64_t> g_alloc_bytes{0};
-
-void* CountedAlloc(size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(size_t size) { return CountedAlloc(size); }
-void* operator new[](size_t size) { return CountedAlloc(size); }
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  return std::malloc(size == 0 ? 1 : size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace ins {
 namespace {
-
-struct AllocWindow {
-  AllocWindow() {
-    g_alloc_bytes.store(0);
-    g_count_allocs.store(true);
-  }
-  ~AllocWindow() { g_count_allocs.store(false); }
-  uint64_t bytes() const { return g_alloc_bytes.load(); }
-};
 
 template <typename T>
 T RoundTrip(const T& body) {

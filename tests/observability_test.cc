@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -166,6 +167,40 @@ TEST(FlightTimelineTest, IncidentDumpIsWrittenEvenWithoutLostJourneys) {
   std::string contents((std::istreambuf_iterator<char>(incident)),
                        std::istreambuf_iterator<char>());
   EXPECT_NE(contents.find("inr-start"), std::string::npos);
+}
+
+TEST(InstrumentBlindSpotTest, OverfilledRingsShowInMetricsSnapshot) {
+  ClusterOptions options;
+  options.inr_template.trace_ring_capacity = 4;
+  options.inr_template.flight_recorder_capacity = 4;
+  SimCluster cluster(options);
+  Inr* inr = cluster.AddInr(1);
+  cluster.StabilizeTopology();
+  for (int i = 0; i < 10; ++i) {
+    TraceEvent ev;
+    ev.trace_id = static_cast<uint64_t>(i + 1);
+    inr->trace_ring().Record(ev);
+    inr->flight_recorder().Record(cluster.loop().Now(), FlightEventKind::kEdgeDown,
+                                  FlightSeverity::kWarning);
+  }
+  const uint64_t trace_lost = inr->trace_ring().overwritten();
+  const uint64_t flight_lost = inr->flight_recorder().overwritten();
+  ASSERT_GE(trace_lost, 6u);
+  ASSERT_GE(flight_lost, 6u);
+
+  auto poller = cluster.AddEndpoint(40);
+  MetricsRequest req;
+  req.request_id = 7;
+  poller->Send(inr->address(), Envelope{MessageBody(req)});
+  cluster.loop().RunFor(Seconds(1));
+  const auto responses = poller->ReceivedOf<MetricsResponse>();
+  ASSERT_EQ(responses.size(), 1u);
+  std::map<std::string, int64_t> gauges;
+  for (const auto& g : responses[0].gauges) {
+    gauges[g.name] = g.value;
+  }
+  EXPECT_EQ(gauges["inr.trace_ring.overwritten"], static_cast<int64_t>(trace_lost));
+  EXPECT_EQ(gauges["inr.flight.overwritten"], static_cast<int64_t>(flight_lost));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "alloc_window.h"
 #include "ins/transport/real_event_loop.h"
 #include "ins/transport/timer_wheel.h"
 
@@ -115,6 +116,30 @@ TEST(TimerWheelTest, CallbackReschedulingReusesPooledNodes) {
   EXPECT_EQ(fired, 1000);
   // A schedule/fire/reschedule cycle must recycle one node, not grow the pool.
   EXPECT_LE(wheel.pool_size(), pool_after_first);
+}
+
+TEST(TimerWheelTest, FirstFiresAfterPoolGrowthDoNotAllocate) {
+  TimerWheel wheel(At(0));
+  int fired = 0;
+  // Grow the pool to 64 nodes, none of which has fired yet.
+  for (int i = 0; i < 64; ++i) {
+    wheel.Schedule(At(1'000 + i * 1'000), [&fired] { ++fired; });
+  }
+  uint64_t allocs = 0;
+  {
+    AllocWindow window;
+    // The first fires in this wheel's life return every node to the free
+    // list; the next round of schedules takes them back.
+    wheel.Advance(At(100'000));
+    for (int i = 0; i < 64; ++i) {
+      wheel.Schedule(At(200'000 + i * 1'000), [&fired] { ++fired; });
+    }
+    wheel.Advance(At(300'000));
+    allocs = window.count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 128);
+  EXPECT_EQ(wheel.pool_size(), 64u);
 }
 
 TEST(TimerWheelTest, ManyTimersAcrossSlotsAllFire) {

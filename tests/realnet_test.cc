@@ -1,6 +1,6 @@
 // Real-socket integration test (ctest label "realnet"): the quickstart
 // scenario — DSR + two INRs + a service + a client — over BatchedUdpTransport
-// on the loopback interface, with pacing and admission control enabled.
+// on the loopback interface, with admission control enabled.
 // Everything runs in real time in one process on one RealEventLoop, so the
 // assertions poll with generous deadlines instead of stepping virtual time.
 
@@ -27,10 +27,9 @@ NameSpecifier P(const std::string& text) {
   return std::move(r).value();
 }
 
-BatchedUdpConfig PacedConfig() {
+BatchedUdpConfig Batch16Config() {
   BatchedUdpConfig config;
   config.batch_size = 16;
-  config.pacer.enabled = true;  // generous defaults: smooths, never starves
   return config;
 }
 
@@ -49,7 +48,7 @@ bool RunUntil(RealEventLoop& loop, Duration deadline, Pred done) {
 
 std::unique_ptr<BatchedUdpTransport> MustBind(RealEventLoop& loop, uint32_t host,
                                               uint16_t port) {
-  auto t = BatchedUdpTransport::Bind(&loop, MakeAddress(host, port), PacedConfig());
+  auto t = BatchedUdpTransport::Bind(&loop, MakeAddress(host, port), Batch16Config());
   EXPECT_TRUE(t.ok()) << t.status();
   return std::move(*t);
 }
@@ -57,7 +56,7 @@ std::unique_ptr<BatchedUdpTransport> MustBind(RealEventLoop& loop, uint32_t host
 TEST(RealnetTest, QuickstartScenarioOverBatchedUdp) {
   RealEventLoop loop;
 
-  // --- Infrastructure: DSR + two INRs, paced batched transports everywhere.
+  // --- Infrastructure: DSR + two INRs, batched transports everywhere.
   auto dsr_transport = MustBind(loop, 250, kBasePort);
   auto inr1_transport = MustBind(loop, 1, kBasePort + 1);
   auto inr2_transport = MustBind(loop, 2, kBasePort + 2);
@@ -66,7 +65,7 @@ TEST(RealnetTest, QuickstartScenarioOverBatchedUdp) {
 
   InrConfig inr_config;
   inr_config.dsr = dsr_transport->local_address();
-  inr_config.admission.enabled = true;  // exercises the pacer feedback loop
+  inr_config.admission.enabled = true;  // ingress admission on real sockets
   Inr inr1(&loop, inr1_transport.get(), inr_config);
   Inr inr2(&loop, inr2_transport.get(), inr_config);
   inr1.Start();
@@ -97,7 +96,7 @@ TEST(RealnetTest, QuickstartScenarioOverBatchedUdp) {
 
   // No lost control traffic: the advertisement must propagate to BOTH
   // resolvers (registration, triggered update, and routing all over real
-  // paced sockets).
+  // sockets).
   ASSERT_TRUE(RunUntil(loop, Seconds(30), [&] {
     const NameTree* t1 = inr1.vspaces().Tree("");
     const NameTree* t2 = inr2.vspaces().Tree("");
@@ -128,7 +127,7 @@ TEST(RealnetTest, QuickstartScenarioOverBatchedUdp) {
                      {'t', 'e', 'm', 'p', '?'}, client_name);
   ASSERT_TRUE(RunUntil(loop, Seconds(20), [&] { return service_got && client_got; }));
 
-  // The paced transports really did batch: the resolvers' registries carry
+  // The batched transports really did send: the resolvers' registries carry
   // the transport.* family (AttachMetrics wiring).
   EXPECT_GT(inr1.metrics().Counter("transport.send.datagrams"), 0u);
   EXPECT_GT(inr1.metrics().Counter("transport.recv.datagrams"), 0u);
@@ -142,9 +141,9 @@ TEST(RealnetTest, QuickstartScenarioOverBatchedUdp) {
   loop.RunFor(Milliseconds(200));
 }
 
-TEST(RealnetTest, ResolverSurvivesBurstTrafficWithPacing) {
-  // A client hammers one resolver with discovery requests; with pacing and
-  // admission enabled nothing may crash, and the resolver must still answer
+TEST(RealnetTest, ResolverSurvivesBurstTraffic) {
+  // A client hammers one resolver with discovery requests; with admission
+  // enabled nothing may crash, and the resolver must still answer
   // afterwards (graceful degradation, not collapse).
   RealEventLoop loop;
   auto dsr_transport = MustBind(loop, 250, kBasePort + 10);
