@@ -22,6 +22,12 @@
 // sets on every query at 10^5 names. CI's gate additionally requires
 // index-on >= 5x walk throughput at 10^5 (see ci.yml), using the
 // `result_hash` counters emitted here to re-assert set identity from JSON.
+//
+// The *PaperHit pair runs the path early binding actually takes: the
+// paper's own name shape (GenerateUniformName(kPaperLookupParams), 10^5
+// names) queried with DeriveQuery(0.95, 0) of advertised names, so every
+// query hits and the posting lists are all of similar length. It carries the
+// same startup parity check and `result_hash` counters, and its own CI gate.
 
 #include <benchmark/benchmark.h>
 
@@ -106,13 +112,35 @@ uint64_t HashAllQueries(const std::vector<CompiledName>& queries, LookupFn&& loo
   return h;
 }
 
+// 256 queries over 10^5 GenerateUniformName(kPaperLookupParams) names, each
+// DeriveQuery(0.95, 0) of an advertised name: the shape early binding sends,
+// where every query hits and most answers hold a handful of records.
+void BuildPaperHitWorkload(size_t n, NameTree* tree, std::vector<CompiledName>* queries) {
+  Rng rng(42);
+  const std::vector<NameSpecifier> ads = bench::PopulateTree(tree, n, rng);
+  queries->clear();
+  for (size_t q = 0; q < 256; ++q) {
+    const NameSpecifier& ad = ads[rng.NextBelow(ads.size())];
+    queries->push_back(
+        CompiledName::ForQuery(DeriveQuery(rng, ad, 0.95, 0.0), tree->symbols()));
+  }
+}
+
+void BuildConjWorkload(size_t n, NameTree* tree, std::vector<CompiledName>* queries) {
+  PopulateConjTree(tree, n);
+  *queries = MakeConjQueries(*tree);
+}
+
+using BuildFn = void (*)(size_t, NameTree*, std::vector<CompiledName>*);
+
 // Exits the process unless the index path and the tree walk return
-// hash-identical result sets for every query at `n` names. Runs before the
-// benchmarks so a semantic divergence can never be reported as a speedup.
-void VerifyConjParityOrDie(size_t n) {
+// hash-identical result sets for every query of the workload at `n` names.
+// Runs before the benchmarks so a semantic divergence can never be reported
+// as a speedup.
+void VerifyParityOrDie(const char* workload, BuildFn build, size_t n) {
   NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
+  std::vector<CompiledName> queries;
+  build(n, &tree, &queries);
   NameTree::LookupScratch scratch;
   size_t nonempty = 0;
   for (const CompiledName& q : queries) {
@@ -121,64 +149,66 @@ void VerifyConjParityOrDie(size_t n) {
     nonempty += via_index.empty() ? 0 : 1;
     if (ResultHash(via_index) != ResultHash(via_walk)) {
       std::fprintf(stderr,
-                   "FATAL: index/walk result divergence at n=%zu "
+                   "FATAL: %s index/walk result divergence at n=%zu "
                    "(index=%zu records, walk=%zu records)\n",
-                   n, via_index.size(), via_walk.size());
+                   workload, n, via_index.size(), via_walk.size());
       std::exit(1);
     }
   }
   const PostingIndexStats stats = tree.index_stats();
   if (stats.index_lookups == 0 || nonempty == 0) {
     std::fprintf(stderr,
-                 "FATAL: parity check did not exercise the index path "
+                 "FATAL: %s parity check did not exercise the index path "
                  "(index_lookups=%llu, nonempty=%zu)\n",
-                 static_cast<unsigned long long>(stats.index_lookups), nonempty);
+                 workload, static_cast<unsigned long long>(stats.index_lookups), nonempty);
     std::exit(1);
   }
-  std::printf("parity: %zu queries at n=%zu, index==walk, %zu non-empty\n",
+  std::printf("parity: %s, %zu queries at n=%zu, index==walk, %zu non-empty\n", workload,
               queries.size(), n, nonempty);
 }
 
-void BM_IndexConjunctive(benchmark::State& state) {
+// One engine over one workload: Lookup() (posting-list path) or
+// LookupTreeWalk() (index bypassed), against the same tree.
+void RunEngine(benchmark::State& state, BuildFn build, bool walk) {
   const size_t n = static_cast<size_t>(state.range(0));
   NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
+  std::vector<CompiledName> queries;
+  build(n, &tree, &queries);
   NameTree::LookupScratch scratch;
-  state.counters["result_hash"] = static_cast<double>(
-      HashAllQueries(queries, [&](const CompiledName& q) { return tree.Lookup(q, &scratch); }) >>
-      24);  // truncated to stay exact in a double
+  auto lookup = [&](const CompiledName& q) {
+    return walk ? tree.LookupTreeWalk(q, &scratch) : tree.Lookup(q, &scratch);
+  };
+  // Truncated to stay exact in a double.
+  state.counters["result_hash"] = static_cast<double>(HashAllQueries(queries, lookup) >> 24);
   size_t qi = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Lookup(queries[qi], &scratch));
+    benchmark::DoNotOptimize(lookup(queries[qi]));
     qi = (qi + 1) % queries.size();
   }
   state.counters["lookups_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["index_bytes"] = static_cast<double>(tree.ComputeStats().index_bytes);
+  if (!walk) {
+    state.counters["index_bytes"] = static_cast<double>(tree.ComputeStats().index_bytes);
+  }
 }
 
+void BM_IndexConjunctive(benchmark::State& state) {
+  RunEngine(state, BuildConjWorkload, /*walk=*/false);
+}
 void BM_WalkConjunctive(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
-  NameTree::LookupScratch scratch;
-  state.counters["result_hash"] = static_cast<double>(
-      HashAllQueries(
-          queries, [&](const CompiledName& q) { return tree.LookupTreeWalk(q, &scratch); }) >>
-      24);
-  size_t qi = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.LookupTreeWalk(queries[qi], &scratch));
-    qi = (qi + 1) % queries.size();
-  }
-  state.counters["lookups_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  RunEngine(state, BuildConjWorkload, /*walk=*/true);
+}
+void BM_IndexPaperHit(benchmark::State& state) {
+  RunEngine(state, BuildPaperHitWorkload, /*walk=*/false);
+}
+void BM_WalkPaperHit(benchmark::State& state) {
+  RunEngine(state, BuildPaperHitWorkload, /*walk=*/true);
 }
 
 BENCHMARK(BM_IndexConjunctive)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WalkConjunctive)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IndexPaperHit)->Arg(100000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalkPaperHit)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Hash tree vs linear scan (the original §5.1.1 ablation).
@@ -247,7 +277,8 @@ int main(int argc, char** argv) {
       "Ablation (analysis 5.1.1): hash name-tree vs linear scan",
       "T(d) = Theta(n_a^d (1+b)) hashed vs Theta(n_a^d (r_a+r_v+b)) linear; the "
       "tree's advantage grows with the number of names");
-  VerifyConjParityOrDie(100000);
+  VerifyParityOrDie("conjunctive", BuildConjWorkload, 100000);
+  VerifyParityOrDie("paper-shape hit", BuildPaperHitWorkload, 100000);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

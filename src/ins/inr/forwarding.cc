@@ -119,9 +119,11 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
       [&](size_t, const NameTree&, const std::vector<const NameRecord*>& matches) {
         res.matches = matches.size();
         if (early_binding) {
-          res.records.reserve(matches.size());
+          // The answer is built straight from the stored records: an early
+          // binding reply carries only each match's endpoint and metric.
+          res.answer.items.reserve(matches.size());
           for (const NameRecord* rec : matches) {
-            res.records.push_back(rec->Detached());
+            res.answer.items.push_back({rec->endpoint, rec->app_metric});
           }
           return;
         }
@@ -168,7 +170,7 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
   Trace(packet, TraceEventKind::kLookup, "", {}, res.matches);
 
   if (early_binding) {
-    HandleEarlyBinding(src, packet, std::move(res.records));
+    HandleEarlyBinding(src, packet, std::move(res.answer));
     return;
   }
   if (res.matches == 0) {
@@ -194,23 +196,17 @@ void ForwardingAgent::ForwardToVspaceOwner(const Packet& packet, const std::stri
 }
 
 void ForwardingAgent::HandleEarlyBinding(const NodeAddress& src, const Packet& packet,
-                                         std::vector<NameRecord> records) {
+                                         EarlyBindingResponse answer) {
   early_bindings_.Increment();
-  uint64_t request_id = 0;
   NodeAddress reply_to = src;
   if (auto parsed = DecodeEarlyBindingPayload(packet.payload); parsed.ok()) {
-    request_id = parsed->first;
+    answer.request_id = parsed->first;
     if (parsed->second.IsValid()) {
       reply_to = parsed->second;
     }
   }
-  EarlyBindingResponse resp;
-  resp.request_id = request_id;
-  for (const NameRecord& rec : records) {
-    resp.items.push_back({rec.endpoint, rec.app_metric});
-  }
-  Trace(packet, TraceEventKind::kDelivered, "early_binding", reply_to, records.size());
-  send_(reply_to, Envelope{MessageBody(std::move(resp))});
+  Trace(packet, TraceEventKind::kDelivered, "early_binding", reply_to, answer.items.size());
+  send_(reply_to, Envelope{MessageBody(std::move(answer))});
 }
 
 void ForwardingAgent::HandleAnycast(const Packet& packet, const NameRecord& best) {

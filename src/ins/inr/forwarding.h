@@ -103,7 +103,7 @@ class ForwardingAgent {
   // needs are filled.
   struct Resolution {
     size_t matches = 0;
-    std::vector<NameRecord> records;  // early binding: all matches, announcer order
+    EarlyBindingResponse answer;      // early binding: all matches, announcer order
     std::optional<NameRecord> best;   // anycast: least metric, announcer tie-break
     std::vector<NameRecord> locals;   // multicast: locally attached matches
     std::set<NodeAddress> next_hops;  // multicast: split-horizon-filtered hops
@@ -116,7 +116,7 @@ class ForwardingAgent {
                          const NameSpecifier& dst);
   void ForwardToVspaceOwner(const Packet& packet, const std::string& vspace);
   void HandleEarlyBinding(const NodeAddress& src, const Packet& packet,
-                          std::vector<NameRecord> records);
+                          EarlyBindingResponse answer);
   void HandleAnycast(const Packet& packet, const NameRecord& best);
   void HandleMulticast(const Packet& packet, const Resolution& res);
   void DeliverLocal(const Packet& packet, const NameRecord& record);

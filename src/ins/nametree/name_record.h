@@ -110,12 +110,16 @@ struct NameRecord {
 
   std::string ToString() const;
 
-  // Value copy with the tree-internal terminal pointers cleared: safe to keep
-  // after the source tree mutates or is destroyed.
+  // Value copy of the public fields only, without the tree-internal terminal
+  // pointers: safe to keep after the source tree mutates or is destroyed.
   NameRecord Detached() const {
-    NameRecord copy = *this;
-    copy.terminals_.clear();
-    copy.slot_ = 0xFFFFFFFFu;
+    NameRecord copy;
+    copy.announcer = announcer;
+    copy.endpoint = endpoint;
+    copy.app_metric = app_metric;
+    copy.route = route;
+    copy.expires = expires;
+    copy.version = version;
     return copy;
   }
 

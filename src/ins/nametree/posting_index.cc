@@ -346,6 +346,91 @@ inline bool SortedAdvanceContains(const std::vector<uint32_t>& v, size_t* pos,
   return v[i] == slot;
 }
 
+// Two sorted lists whose lengths differ by more than this factor are
+// intersected by galloping the longer one from the shorter one's members.
+constexpr size_t kGallopRatio = 16;
+
+// The marking pass below zeroes one scratch word per 64 slots of the shorter
+// list's span. Zeroing runs at several words per cycle and a gallop probe
+// costs tens of cycles, so past this many words per member galloping wins.
+constexpr size_t kMaxMarkWordsPerMember = 64;
+
+// Writes a ∩ b (both ascending, non-empty) into the empty `out`; `words` is
+// scratch.
+void IntersectSorted(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+                     std::vector<uint32_t>* out, std::vector<uint64_t>* words) {
+  const std::vector<uint32_t>& small = a.size() <= b.size() ? a : b;
+  const std::vector<uint32_t>& large = a.size() <= b.size() ? b : a;
+  assert(!small.empty() && "empty postings are erased");
+  const uint32_t first = small.front();
+  const uint32_t last = small.back();
+  const size_t base = first / 64;
+  const size_t span_words = last / 64 - base + 1;
+  if (large.size() / kGallopRatio > small.size() ||
+      span_words / kMaxMarkWordsPerMember > small.size()) {
+    size_t pos = 0;
+    for (uint32_t s : small) {
+      if (SortedAdvanceContains(large, &pos, s)) {
+        out->push_back(s);
+      }
+    }
+    return;
+  }
+  // Comparable lengths: mark the shorter list in a bitmap over its span,
+  // then bit-test the longer one's members inside that span. A two-pointer
+  // merge does the same linear work, but each of its steps loads through a
+  // pointer the previous comparison moved, so it runs at load latency; these
+  // bit tests do not depend on one another.
+  words->assign(span_words, 0);
+  uint64_t* w = words->data();
+  for (uint32_t s : small) {
+    w[s / 64 - base] |= UINT64_C(1) << (s % 64);
+  }
+  for (auto it = std::lower_bound(large.begin(), large.end(), first);
+       it != large.end() && *it <= last; ++it) {
+    if ((w[*it / 64 - base] >> (*it % 64)) & 1) {
+      out->push_back(*it);
+    }
+  }
+}
+
+// Writes a ∩ b into the empty `out`, ascending, whatever the two lists'
+// representations; `words` is scratch.
+void IntersectPair(const PostingList& a, const PostingList& b, std::vector<uint32_t>* out,
+                   std::vector<uint64_t>* words) {
+  if (!a.is_bitmap() && !b.is_bitmap()) {
+    IntersectSorted(a.sorted(), b.sorted(), out, words);
+    return;
+  }
+  // At least one bitmap: stream the other list (the array, if there is one)
+  // through O(1) bit tests.
+  const PostingList& bitmap = b.is_bitmap() ? b : a;
+  const PostingList& streamed = b.is_bitmap() ? a : b;
+  streamed.ForEachAscending([&](uint32_t s) {
+    if (bitmap.Contains(s)) {
+      out->push_back(s);
+    }
+  });
+}
+
+// Keeps the members of `slots` (ascending) that `list` also holds.
+void FilterInPlace(const PostingList& list, std::vector<uint32_t>* slots) {
+  size_t k = 0;
+  if (list.is_bitmap()) {
+    for (uint32_t s : *slots) {
+      (*slots)[k] = s;
+      k += static_cast<size_t>(list.Contains(s));
+    }
+  } else {
+    size_t pos = 0;
+    for (uint32_t s : *slots) {
+      (*slots)[k] = s;
+      k += static_cast<size_t>(SortedAdvanceContains(list.sorted(), &pos, s));
+    }
+  }
+  slots->resize(k);
+}
+
 }  // namespace
 
 void PostingIndex::Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_slots,
@@ -410,50 +495,18 @@ void PostingIndex::Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_sl
     return;
   }
 
-  // Rarest-first: stream the smallest posting in ascending order, probe the
-  // rest (O(1) bit tests on bitmaps, galloping monotone cursors on arrays).
-  struct Cursor {
-    const std::vector<uint32_t>* v;
-    size_t pos;
-  };
-  Cursor inline_cursors[kMaxInlineTerms];
-  const PostingList* inline_bitmaps[kMaxInlineTerms];
-  std::vector<Cursor> heap_cursors;
-  std::vector<const PostingList*> heap_bitmaps;
-  Cursor* cursors = inline_cursors;
-  const PostingList** bitmaps = inline_bitmaps;
-  if (nterms > kMaxInlineTerms) {
-    heap_cursors.resize(nterms);
-    heap_bitmaps.resize(nterms);
-    cursors = heap_cursors.data();
-    bitmaps = heap_bitmaps.data();
-  }
-  size_t ncursors = 0;
-  size_t nbitmaps = 0;
-  for (size_t i = 0; i < nterms; ++i) {
-    if (i == rarest) {
-      continue;
-    }
-    if (lists[i]->is_bitmap()) {
-      bitmaps[nbitmaps++] = lists[i];
-    } else {
-      cursors[ncursors++] = Cursor{&lists[i]->sorted(), 0};
-    }
-  }
-
-  lists[rarest]->ForEachAscending([&](uint32_t slot) {
-    for (size_t i = 0; i < nbitmaps; ++i) {
-      if (!bitmaps[i]->Contains(slot)) {
-        return;
-      }
-    }
-    for (size_t i = 0; i < ncursors; ++i) {
-      if (!SortedAdvanceContains(*cursors[i].v, &cursors[i].pos, slot)) {
-        return;
-      }
-    }
-    out_slots->push_back(slot);
+  // Rarest-first: intersect the two shortest lists, then filter the few
+  // survivors through the rest in ascending length, stopping once none is
+  // left. A lookup pays for two lists and a few probes per survivor, not for
+  // every slot of every list in the plan.
+  std::sort(lists, lists + nterms, [](const PostingList* a, const PostingList* b) {
+    return a->count() < b->count();
   });
+  out_slots->reserve(lists[0]->count());
+  IntersectPair(*lists[0], *lists[1], out_slots, word_scratch);
+  for (size_t i = 2; i < nterms && !out_slots->empty(); ++i) {
+    FilterInPlace(*lists[i], out_slots);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 // The per-tree secondary index: posting lists keyed by value-path
 // fingerprints, turning conjunctive literal LOOKUP-NAME queries into
-// rarest-first sorted-list / word-parallel bitmap intersections instead of
-// tree walks (ROADMAP item: hold >= 1M lookups/s at 10^5-10^6 names).
+// posting-list intersections instead of tree walks (ROADMAP item: hold >= 1M
+// lookups/s at 10^5-10^6 names). Evaluation sorts a plan's lists by length,
+// intersects the two rarest, and filters the survivors through the rest, so
+// a lookup touches two lists plus a few probes per survivor in the others;
+// plans made only of bitmaps take a word-parallel AND instead.
 //
 // Keys. A name-tree node is identified by the hash chain of the (attribute,
 // value) SymbolId pairs on its root path: ValueFp(parent_fp, a, v). Chained
@@ -194,7 +197,9 @@ class PostingIndex {
 
   // Intersects the plan's posting lists into ascending `out_slots`. The plan
   // must have kind kIndex and be current (same version). `word_scratch` backs
-  // the all-bitmap kernel.
+  // the all-bitmap kernel and the two-rarest-arrays kernel. Once both vectors
+  // have grown to a workload's largest answer, a call allocates nothing
+  // (plans of more than 64 terms excepted).
   void Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_slots,
                 std::vector<uint64_t>* word_scratch) const;
 

@@ -11,6 +11,8 @@
 #include "ins/nametree/sharded_name_tree.h"
 #include "ins/workload/namegen.h"
 
+#include "alloc_window.h"
+
 namespace ins {
 namespace {
 
@@ -395,6 +397,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTest, ::testing::Values(11, 22, 33, 44, 55)
 // The expiry min-heap makes the soft-state sweep O(expired + stale), not
 // O(records): expiring 1 record out of 100k must do one unit of work, and a
 // no-op sweep must do zero (a single heap-front peek).
+// Detached() copies the public fields only: a stored record's terminal
+// pointers are never copied, so detaching one without port bindings (the
+// anycast winner, a multicast local) costs no allocation at all.
+TEST(NameTreeTest, DetachingAStoredRecordDoesNotCopyItsTerminals) {
+  NameTree t;
+  NameRecord info = Rec(1, 2.5);
+  info.endpoint.bindings.clear();
+  t.Upsert(P("[service=camera[entity=transmitter]][room=510][building=ne43]"), info);
+  const NameRecord* stored = t.Find(Id(1));
+  ASSERT_NE(stored, nullptr);
+
+  NameRecord copy;
+  uint64_t allocs = 0;
+  {
+    AllocWindow window;
+    copy = stored->Detached();
+    allocs = window.count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(copy.announcer, info.announcer);
+  EXPECT_EQ(copy.endpoint, info.endpoint);
+  EXPECT_EQ(copy.app_metric, 2.5);
+  EXPECT_EQ(copy.route, info.route);
+  EXPECT_EQ(copy.expires, info.expires);
+  EXPECT_EQ(copy.version, info.version);
+}
+
 TEST(NameTreeTest, ExpirySweepTouchesOnlyDueRecords) {
   NameTree t;
   constexpr uint32_t kRecords = 100000;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +31,8 @@
 #include "ins/nametree/posting_index.h"
 #include "ins/nametree/sharded_name_tree.h"
 #include "ins/workload/namegen.h"
+
+#include "alloc_window.h"
 
 namespace ins {
 namespace {
@@ -103,6 +106,319 @@ TEST(PostingIndexPropertyTest, PlanResultInvariantUnderTermReordering) {
   }
   // The workload actually produced conjunctive multi-term plans.
   EXPECT_GT(multi_term_plans, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// The intersection kernel against a std::set_intersection oracle.
+// ---------------------------------------------------------------------------
+
+// A bare PostingIndex over a fixed slot universe whose postings are built
+// straight through the writer API, so a test picks every list's members and
+// representation. Over 2^20 slots a list promotes to a bitmap when it reaches
+// 16,384 members and demotes below 8,192; AddBitmap uses that hysteresis to
+// make bitmaps rarer than some arrays, which plain growth never does.
+class SyntheticPostings {
+ public:
+  static constexpr uint32_t kUniverse = 1u << 20;
+  static constexpr size_t kPromoteAt = kUniverse / PostingList::kPromoteDensity;
+  static constexpr size_t kDemoteBelow = kUniverse / PostingList::kDemoteDensity;
+
+  SyntheticPostings() {
+    for (uint32_t i = 0; i < kUniverse; ++i) {
+      index_.AcquireSlot(&record_);
+    }
+  }
+
+  const PostingIndex& index() const { return index_; }
+
+  // Adds a posting holding `members` (ascending, unique); returns its key.
+  uint64_t Add(const std::vector<uint32_t>& members) {
+    const SymbolId attribute = next_attribute_++;
+    for (uint32_t s : members) {
+      index_.AddTerm(PostingIndex::kRootFp, attribute, 0, /*terminal=*/false, s);
+    }
+    return PostingIndex::ValueFp(PostingIndex::kRootFp, attribute, 0);
+  }
+
+  // As Add, but the posting ends up a bitmap however few its members (at
+  // least kDemoteBelow): filler slots push it over the promotion threshold
+  // and are then removed again.
+  uint64_t AddBitmap(Rng& rng, const std::vector<uint32_t>& members) {
+    std::vector<uint32_t> filler;
+    while (members.size() + filler.size() < kPromoteAt) {
+      const uint32_t s = static_cast<uint32_t>(rng.NextBelow(kUniverse));
+      if (!std::binary_search(members.begin(), members.end(), s)) {
+        filler.push_back(s);
+      }
+      if (members.size() + filler.size() == kPromoteAt) {
+        std::sort(filler.begin(), filler.end());
+        filler.erase(std::unique(filler.begin(), filler.end()), filler.end());
+      }
+    }
+    std::vector<uint32_t> all;
+    std::merge(members.begin(), members.end(), filler.begin(), filler.end(),
+               std::back_inserter(all));
+    const SymbolId attribute = next_attribute_;
+    const uint64_t key = Add(all);
+    for (uint32_t s : filler) {
+      index_.RemoveTerm(key, PostingIndex::AttrFp(PostingIndex::kRootFp, attribute),
+                        /*terminal=*/false, s);
+    }
+    return key;
+  }
+
+ private:
+  PostingIndex index_;
+  NameRecord record_;
+  SymbolId next_attribute_ = 0;
+};
+
+// `n` distinct slots in ascending order: all of `core`, then uniform draws.
+std::vector<uint32_t> RandomMembers(Rng& rng, size_t n, const std::vector<uint32_t>& core,
+                                    uint32_t universe = SyntheticPostings::kUniverse) {
+  std::vector<uint32_t> v = core;
+  while (v.size() < n) {
+    for (size_t i = v.size(); i < n; ++i) {
+      v.push_back(static_cast<uint32_t>(rng.NextBelow(universe)));
+    }
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  return v;
+}
+
+std::vector<uint32_t> OracleIntersection(const std::vector<std::vector<uint32_t>>& lists) {
+  std::vector<uint32_t> acc = lists[0];
+  for (size_t i = 1; i < lists.size(); ++i) {
+    std::vector<uint32_t> next;
+    std::set_intersection(acc.begin(), acc.end(), lists[i].begin(), lists[i].end(),
+                          std::back_inserter(next));
+    acc.swap(next);
+  }
+  return acc;
+}
+
+// Evaluates the plan over `keys` and compares it with the oracle over the
+// same members; when `all_orders`, every permutation of the term order too.
+void ExpectKernelMatchesOracle(const SyntheticPostings& postings,
+                               const std::vector<uint64_t>& keys,
+                               const std::vector<std::vector<uint32_t>>& members,
+                               bool all_orders, const std::string& label) {
+  const std::vector<uint32_t> want = OracleIntersection(members);
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  QueryPlan plan;
+  plan.kind = QueryPlan::Kind::kIndex;
+  std::vector<uint32_t> got;
+  std::vector<uint64_t> words;
+  do {
+    plan.terms.clear();
+    for (size_t i : order) {
+      plan.terms.push_back(keys[i]);
+    }
+    postings.index().Evaluate(plan, &got, &words);
+    ASSERT_EQ(got, want) << label;
+  } while (all_orders && std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(PostingIndexKernelTest, PairsMatchSetIntersectionAcrossLengthRatios) {
+  Rng rng(101);
+  SyntheticPostings postings;
+  size_t nonempty = 0;
+  size_t bitmaps = 0;
+  for (size_t rare : {1, 5, 60, 700, 20000}) {
+    for (size_t ratio : {1, 2, 15, 16, 17, 64, 1000, 10000}) {
+      const size_t common = rare * ratio;
+      if (common > 200000) {
+        continue;
+      }
+      for (bool shared : {true, false}) {
+        // A shared core keeps the answer non-empty; without one the lists
+        // are independent and mostly disjoint.
+        const std::vector<uint32_t> core =
+            shared ? RandomMembers(rng, (rare + 2) / 3, {}) : std::vector<uint32_t>{};
+        const std::vector<std::vector<uint32_t>> members{RandomMembers(rng, rare, core),
+                                                         RandomMembers(rng, common, core)};
+        const std::vector<uint64_t> keys{postings.Add(members[0]), postings.Add(members[1])};
+        bitmaps += postings.index().FindPosting(keys[1])->is_bitmap() ? 1 : 0;
+        nonempty += OracleIntersection(members).empty() ? 0 : 1;
+        ExpectKernelMatchesOracle(postings, keys, members, /*all_orders=*/true,
+                                  "rare " + std::to_string(rare) + " ratio " +
+                                      std::to_string(ratio));
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 10u);
+  EXPECT_GT(bitmaps, 5u);  // sorted/bitmap and bitmap/bitmap pairs ran too
+}
+
+TEST(PostingIndexKernelTest, MixedPlansMatchSetIntersectionInEveryTermOrder) {
+  Rng rng(103);
+  SyntheticPostings postings;
+  // Half of every list's members come from one shared pool, so lists
+  // overlap well beyond the core and survivors of the rarest pair still get
+  // filtered by the later lists.
+  const std::vector<uint32_t> pool = RandomMembers(rng, 40000, {});
+  size_t nonempty = 0;
+  size_t bitmap_terms = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t nterms = 3 + rng.NextBelow(3);
+    const std::vector<uint32_t> core = RandomMembers(rng, rng.NextBelow(4), {});
+    std::vector<std::vector<uint32_t>> members;
+    std::vector<uint64_t> keys;
+    for (size_t t = 0; t < nterms; ++t) {
+      // Kinds: 0 a rare array, 1 an array, 2 a bitmap below the promotion
+      // size (AddBitmap), 3 a bitmap by size.
+      const uint64_t kind = rng.NextBelow(4);
+      const size_t n = kind == 0   ? 1 + rng.NextBelow(50)
+                       : kind == 1 ? 200 + rng.NextBelow(16000)
+                       : kind == 2 ? SyntheticPostings::kDemoteBelow + rng.NextBelow(8000)
+                                   : SyntheticPostings::kPromoteAt + rng.NextBelow(80000);
+      std::vector<uint32_t> seed = core;
+      for (size_t i = 0; i < n / 2; ++i) {
+        seed.push_back(pool[rng.NextBelow(pool.size())]);
+      }
+      std::sort(seed.begin(), seed.end());
+      seed.erase(std::unique(seed.begin(), seed.end()), seed.end());
+      members.push_back(RandomMembers(rng, std::max(n, seed.size()), seed));
+      keys.push_back(kind == 2 ? postings.AddBitmap(rng, members.back())
+                               : postings.Add(members.back()));
+      const bool is_bitmap = postings.index().FindPosting(keys.back())->is_bitmap();
+      ASSERT_EQ(is_bitmap, kind >= 2);
+      bitmap_terms += is_bitmap ? 1 : 0;
+    }
+    nonempty += OracleIntersection(members).empty() ? 0 : 1;
+    ExpectKernelMatchesOracle(postings, keys, members, /*all_orders=*/nterms <= 4,
+                              "trial " + std::to_string(trial));
+    if (nterms > 4) {
+      // Five terms: a sample of orders instead of all 120.
+      for (int round = 0; round < 8; ++round) {
+        for (size_t i = keys.size(); i > 1; --i) {
+          const size_t j = rng.NextBelow(i);
+          std::swap(keys[i - 1], keys[j]);
+          std::swap(members[i - 1], members[j]);
+        }
+        ExpectKernelMatchesOracle(postings, keys, members, /*all_orders=*/false,
+                                  "trial " + std::to_string(trial));
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 5u);
+  EXPECT_GT(bitmap_terms, 10u);
+}
+
+TEST(PostingIndexKernelTest, SingleTermEmptyAndManyTermPlansMatchSetIntersection) {
+  Rng rng(107);
+  SyntheticPostings postings;
+
+  // One term, either representation: the posting itself.
+  for (size_t n : {1, 300, 40000}) {
+    const std::vector<std::vector<uint32_t>> members{RandomMembers(rng, n, {})};
+    ExpectKernelMatchesOracle(postings, {postings.Add(members[0])}, members, false,
+                              "single term of " + std::to_string(n));
+  }
+
+  // Disjoint rarest pairs: evens against odds, as arrays of comparable
+  // length, as a skewed pair, and against a bitmap; then with more lists
+  // behind them, which the kernel must never need to touch.
+  std::vector<uint32_t> evens;
+  std::vector<uint32_t> odds;
+  for (uint32_t s = 0; s < 40000; s += 2) {
+    evens.push_back(s);
+    odds.push_back(s + 1);
+  }
+  const std::vector<uint32_t> few_odds(odds.begin(), odds.begin() + 9);
+  const std::vector<uint32_t> some_evens(evens.begin(), evens.begin() + 5000);
+  const uint64_t k_evens = postings.Add(evens);  // 20,000 members: a bitmap
+  const uint64_t k_odds = postings.Add(odds);
+  const uint64_t k_few_odds = postings.Add(few_odds);
+  const uint64_t k_some_evens = postings.Add(some_evens);
+  const std::vector<uint32_t> wide = RandomMembers(rng, 30000, {});
+  const uint64_t k_wide = postings.Add(wide);
+  ExpectKernelMatchesOracle(postings, {k_some_evens, k_few_odds}, {some_evens, few_odds}, true,
+                            "disjoint skewed arrays");
+  ExpectKernelMatchesOracle(postings, {k_evens, k_few_odds}, {evens, few_odds}, true,
+                            "disjoint array and bitmap");
+  ExpectKernelMatchesOracle(postings, {k_evens, k_odds}, {evens, odds}, true,
+                            "disjoint bitmaps");
+  ExpectKernelMatchesOracle(postings, {k_some_evens, k_few_odds, k_wide, k_odds},
+                            {some_evens, few_odds, wide, odds}, true,
+                            "disjoint pair ahead of more lists");
+
+  // More than 64 terms: the kernel's term array moves to the heap.
+  const std::vector<uint32_t> core = RandomMembers(rng, 6, {});
+  std::vector<std::vector<uint32_t>> members;
+  std::vector<uint64_t> keys;
+  for (size_t t = 0; t < 70; ++t) {
+    const size_t n = t % 10 == 0 ? SyntheticPostings::kPromoteAt + 1000
+                                 : 20 + rng.NextBelow(3000);
+    members.push_back(RandomMembers(rng, n, core));
+    keys.push_back(postings.Add(members.back()));
+  }
+  ExpectKernelMatchesOracle(postings, keys, members, false, "70 terms");
+  std::reverse(keys.begin(), keys.end());
+  std::reverse(members.begin(), members.end());
+  ExpectKernelMatchesOracle(postings, keys, members, false, "70 terms reversed");
+  EXPECT_EQ(OracleIntersection(members), core);
+}
+
+// Once a scratch pair has grown to fit a workload, evaluating the same plans
+// again allocates nothing, on every kernel path with at most 64 terms.
+TEST(PostingIndexKernelTest, WarmEvaluateDoesNotAllocate) {
+  Rng rng(109);
+  SyntheticPostings postings;
+  const std::vector<uint32_t> core = RandomMembers(rng, 4, {});
+  auto add = [&](size_t n) { return postings.Add(RandomMembers(rng, n, core)); };
+  const uint64_t rare = add(3);
+  const uint64_t mid_a = add(1000);
+  const uint64_t mid_b = add(1100);
+  const uint64_t wide = add(15000);
+  const uint64_t bitmap_a = add(SyntheticPostings::kPromoteAt + 500);
+  const uint64_t bitmap_b = add(SyntheticPostings::kPromoteAt + 9000);
+  const uint64_t thin_bitmap =
+      postings.AddBitmap(rng, RandomMembers(rng, SyntheticPostings::kDemoteBelow + 10, core));
+  const uint64_t thin_bitmap_b =
+      postings.AddBitmap(rng, RandomMembers(rng, SyntheticPostings::kDemoteBelow + 900, core));
+  const std::vector<std::vector<uint64_t>> plans{
+      {mid_a},                                // one term
+      {bitmap_a, bitmap_b},                   // all bitmaps
+      {mid_a, mid_b},                         // comparable arrays
+      {rare, wide},                           // skewed arrays
+      {mid_a, bitmap_a},                      // array and bitmap
+      {wide, thin_bitmap_b, thin_bitmap},     // bitmap pair, then an array
+      {thin_bitmap, wide, mid_b, bitmap_b},   // array and bitmap pair, then both kinds
+      {rare, mid_a, mid_b, wide, bitmap_a},   // skewed pair, then a few survivors
+  };
+  std::vector<QueryPlan> compiled(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    compiled[i].kind = QueryPlan::Kind::kIndex;
+    compiled[i].terms = plans[i];
+  }
+  ASSERT_TRUE(postings.index().FindPosting(thin_bitmap)->is_bitmap());
+  ASSERT_TRUE(postings.index().FindPosting(thin_bitmap_b)->is_bitmap());
+  ASSERT_FALSE(postings.index().FindPosting(wide)->is_bitmap());
+
+  std::vector<uint32_t> slots;
+  std::vector<uint64_t> words;
+  for (const QueryPlan& plan : compiled) {
+    postings.index().Evaluate(plan, &slots, &words);  // warm-up
+  }
+  uint64_t allocs = 0;
+  size_t total = 0;
+  {
+    AllocWindow window;
+    for (int round = 0; round < 3; ++round) {
+      for (const QueryPlan& plan : compiled) {
+        postings.index().Evaluate(plan, &slots, &words);
+        total += slots.size();
+      }
+    }
+    allocs = window.count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GE(total, 3 * core.size() * compiled.size());
 }
 
 // ---------------------------------------------------------------------------
