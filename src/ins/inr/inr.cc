@@ -37,13 +37,12 @@ Inr::Inr(Executor* executor, Transport* transport, InrConfig config)
   ping_agent_ = std::make_unique<PingAgent>(executor_, send);
   topology_ = std::make_unique<TopologyManager>(executor_, ping_agent_.get(), send,
                                                 address(), config_.topology, &metrics_);
-  ShardedNameTree::Options store_options;
   // Journaling costs one entry copy per state-changing write; only pay it
   // when replication will consume the journal.
-  store_options.journal_capacity =
+  const size_t journal_capacity =
       config_.replication.enabled ? config_.replication.journal_capacity : 0;
   vspaces_ = std::make_unique<VspaceManager>(executor_, send, config_.dsr, &metrics_,
-                                             store_options);
+                                             journal_capacity);
   cache_ = std::make_unique<PacketCache>(config_.cache_capacity);
   discovery_ = std::make_unique<NameDiscovery>(executor_, send, address(), vspaces_.get(),
                                                topology_.get(), &metrics_,

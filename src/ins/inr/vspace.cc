@@ -3,12 +3,12 @@
 namespace ins {
 
 VspaceManager::VspaceManager(Executor* executor, SendFn send, NodeAddress dsr,
-                             MetricsRegistry* metrics, ShardedNameTree::Options store_options)
+                             MetricsRegistry* metrics, size_t journal_capacity)
     : executor_(executor),
       send_(std::move(send)),
       dsr_(dsr),
       metrics_(metrics),
-      store_(std::move(store_options)) {}
+      store_(journal_capacity) {}
 
 void VspaceManager::AddSpace(const std::string& vspace) {
   if (store_.Routes(vspace)) {

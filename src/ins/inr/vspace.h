@@ -36,7 +36,7 @@ class VspaceManager {
   using ResolveCallback = std::function<void(const NodeAddress& owner)>;
 
   VspaceManager(Executor* executor, SendFn send, NodeAddress dsr, MetricsRegistry* metrics,
-                ShardedNameTree::Options store_options = {});
+                size_t journal_capacity = 0);
 
   // Spaces this resolver routes. Adding an existing space is a no-op.
   void AddSpace(const std::string& vspace);

@@ -9,19 +9,9 @@
 
 namespace ins {
 
-NameTree::NameTree(Options options) : options_(std::move(options)) {
-  if (options_.symbols != nullptr) {
-    symbols_ = options_.symbols;
-    owns_symbols_ = false;
-  } else {
-    symbols_ = std::make_shared<SymbolTable>();
-    owns_symbols_ = true;
-  }
-  if (options_.enable_posting_index) {
-    index_ = std::make_unique<PostingIndex>();
-  }
-  root_.parent_attr = nullptr;
-}
+NameTree::NameTree() : symbols_(std::make_shared<SymbolTable>()), owns_symbols_(true) {}
+
+NameTree::NameTree(std::shared_ptr<SymbolTable> symbols) : symbols_(std::move(symbols)) {}
 
 NameTree::~NameTree() = default;
 
@@ -148,51 +138,19 @@ void NameTree::Graft(ValueNode* parent, const CompiledName& name, uint32_t begin
 
     // Sibling attributes of a specifier level are unique, so each compiled
     // node maps to a distinct value path: one AddTerm per node, no dedup.
-    uint64_t child_fp = 0;
-    if (index_ != nullptr) {
-      child_fp = index_->AddTerm(fp, n.attribute, n.token, n.child_count == 0, rec->slot_);
-    }
+    const uint64_t child_fp =
+        index_.AddTerm(fp, n.attribute, n.token, n.child_count == 0, rec->slot_);
 
     if (n.child_count == 0) {
       tv->records.push_back(rec);
       rec->terminals_.push_back(tv);
-      if (options_.cache_subtree_records) {
-        AddToAncestorCaches(tv, rec);
-      }
     } else {
       Graft(tv, name, n.child_begin, n.child_count, rec, child_fp);
     }
   }
 }
 
-void NameTree::AddToAncestorCaches(ValueNode* leaf, const NameRecord* rec) {
-  for (ValueNode* v = leaf; v != nullptr;
-       v = v->parent_attr != nullptr ? v->parent_attr->parent : nullptr) {
-    auto& cache = v->subtree_cache;
-    cache.insert(std::upper_bound(cache.begin(), cache.end(), rec), rec);
-    if (v == &root_) {
-      break;
-    }
-  }
-}
-
-void NameTree::RemoveFromAncestorCaches(ValueNode* leaf, const NameRecord* rec) {
-  for (ValueNode* v = leaf; v != nullptr;
-       v = v->parent_attr != nullptr ? v->parent_attr->parent : nullptr) {
-    auto& cache = v->subtree_cache;
-    auto it = std::lower_bound(cache.begin(), cache.end(), rec);
-    assert(it != cache.end() && *it == rec);
-    cache.erase(it);
-    if (v == &root_) {
-      break;
-    }
-  }
-}
-
 void NameTree::IndexRemoveTerms(NameRecord* rec) {
-  if (index_ == nullptr) {
-    return;
-  }
   // Recompute the record's value-path fingerprints from the tree instead of
   // storing them per record: walk leaf -> root from each terminal, then hash
   // the chains root -> leaf. Terminals of one record share path prefixes, so
@@ -224,7 +182,7 @@ void NameTree::IndexRemoveTerms(NameRecord* rec) {
                          [](const TermKey& a, const TermKey& b) { return a.vfp == b.vfp; }),
              keys.end());
   for (const TermKey& k : keys) {
-    index_->RemoveTerm(k.vfp, k.afp, k.terminal, rec->slot_);
+    index_.RemoveTerm(k.vfp, k.afp, k.terminal, rec->slot_);
   }
 }
 
@@ -234,9 +192,6 @@ void NameTree::Ungraft(NameRecord* rec) {
     auto it = std::find(tv->records.begin(), tv->records.end(), rec);
     assert(it != tv->records.end());
     tv->records.erase(it);
-    if (options_.cache_subtree_records) {
-      RemoveFromAncestorCaches(tv, rec);
-    }
     PruneUpward(tv);
   }
   rec->terminals_.clear();
@@ -272,9 +227,7 @@ NameTree::UpsertOutcome NameTree::Upsert(const NameSpecifier& name,
     rec->terminals_.clear();
     NameRecord* raw = rec.get();
     records_.emplace(info.announcer, std::move(rec));
-    if (index_ != nullptr) {
-      raw->slot_ = index_->AcquireSlot(raw);
-    }
+    raw->slot_ = index_.AcquireSlot(raw);
     Graft(&root_, compiled, 0, compiled.root_count(), raw, PostingIndex::kRootFp);
     PushExpiry(raw->expires, raw->announcer);
     return {UpsertOutcome::kNew, raw, true};
@@ -313,10 +266,6 @@ NameTree::UpsertOutcome NameTree::Upsert(const NameSpecifier& name,
 
 void NameTree::SubtreeRecords(const ValueNode* node,
                               std::vector<const NameRecord*>* out) const {
-  if (options_.cache_subtree_records) {
-    out->insert(out->end(), node->subtree_cache.begin(), node->subtree_cache.end());
-    return;
-  }
   out->insert(out->end(), node->records.begin(), node->records.end());
   node->attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
     SubtreeRecords(child.get(), out);
@@ -445,21 +394,18 @@ thread_local NameTree::LookupScratch tls_lookup_scratch;
 std::vector<const NameRecord*> NameTree::Lookup(const CompiledName& query,
                                                 LookupScratch* scratch) const {
   LookupScratch* sc = scratch != nullptr ? scratch : &tls_lookup_scratch;
-  if (index_ == nullptr) {
-    return LookupTreeWalk(query, sc);
-  }
 
   // Plan, from the scratch's memo when this (index state, query) pair was
   // seen before — the hot-destination case the NameDecoder memo feeds.
   const uint64_t qfp = QueryFingerprint(query);
-  const QueryPlan* plan = sc->plan_cache_.Find(index_->id(), index_->version(), qfp);
+  const QueryPlan* plan = sc->plan_cache_.Find(index_.id(), index_.version(), qfp);
   const bool cache_hit = plan != nullptr;
   if (!cache_hit) {
-    QueryPlan* fresh = sc->plan_cache_.Insert(index_->id(), index_->version(), qfp);
-    index_->DerivePlan(query, fresh);
+    QueryPlan* fresh = sc->plan_cache_.Insert(index_.id(), index_.version(), qfp);
+    index_.DerivePlan(query, fresh);
     plan = fresh;
   }
-  index_->CountOutcome(plan->kind, cache_hit);
+  index_.CountOutcome(plan->kind, cache_hit);
 
   if (plan->NeedsTreeWalk()) {
     return LookupTreeWalk(query, sc);
@@ -472,10 +418,10 @@ std::vector<const NameRecord*> NameTree::Lookup(const CompiledName& query,
     case QueryPlan::Kind::kEmpty:
       break;
     case QueryPlan::Kind::kIndex: {
-      index_->Evaluate(*plan, &sc->slot_scratch_, &sc->word_scratch_);
+      index_.Evaluate(*plan, &sc->slot_scratch_, &sc->word_scratch_);
       out.reserve(sc->slot_scratch_.size());
       for (uint32_t slot : sc->slot_scratch_) {
-        out.push_back(index_->RecordAt(slot));
+        out.push_back(index_.RecordAt(slot));
       }
       std::sort(out.begin(), out.end(), [](const NameRecord* a, const NameRecord* b) {
         return a->announcer < b->announcer;
@@ -620,9 +566,7 @@ bool NameTree::Remove(const AnnouncerId& id) {
   }
   IndexRemoveTerms(it->second.get());
   Ungraft(it->second.get());
-  if (index_ != nullptr) {
-    index_->ReleaseSlot(it->second->slot_);
-  }
+  index_.ReleaseSlot(it->second->slot_);
   records_.erase(it);
   return true;
 }
@@ -667,9 +611,7 @@ size_t NameTree::ExpireBefore(TimePoint now, std::vector<AnnouncerId>* expired) 
     }
     IndexRemoveTerms(it->second.get());
     Ungraft(it->second.get());
-    if (index_ != nullptr) {
-      index_->ReleaseSlot(it->second->slot_);
-    }
+    index_.ReleaseSlot(it->second->slot_);
     records_.erase(it);
     if (expired != nullptr) {
       expired->push_back(id);
@@ -709,8 +651,7 @@ NameTree::Stats NameTree::ComputeStats() const {
   std::function<void(const ValueNode&)> walk_value = [&](const ValueNode& v) {
     st.value_nodes += 1;
     st.bytes += sizeof(ValueNode) + v.attributes.MemoryBytes() +
-                v.records.capacity() * sizeof(NameRecord*) +
-                v.subtree_cache.capacity() * sizeof(const NameRecord*);
+                v.records.capacity() * sizeof(NameRecord*);
     v.attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
       st.attribute_nodes += 1;
       st.bytes += sizeof(AttributeNode) + child->values.MemoryBytes();
@@ -733,10 +674,8 @@ NameTree::Stats NameTree::ComputeStats() const {
   st.expiry_heap_entries = expiry_heap_.size();
   st.bytes += expiry_heap_.capacity() * sizeof(expiry_heap_[0]);
 
-  if (index_ != nullptr) {
-    st.index_bytes = index_->MemoryBytes();
-    st.bytes += st.index_bytes;
-  }
+  st.index_bytes = index_.MemoryBytes();
+  st.bytes += st.index_bytes;
 
   // A privately owned intern table is part of this tree's footprint; a
   // shared one is accounted once by the owning ShardedNameTree.
@@ -832,29 +771,6 @@ Status NameTree::CheckInvariants() const {
           return;
         }
         seen[grandchild.get()] = grandchild->records.size();
-        if (options_.cache_subtree_records) {
-          if (!std::is_sorted(grandchild->subtree_cache.begin(),
-                              grandchild->subtree_cache.end())) {
-            result = InternalError("subtree cache not sorted at " + val);
-            return;
-          }
-          std::vector<const NameRecord*> expected;
-          // Collect terminals the slow way and compare as multisets.
-          std::function<void(const ValueNode&)> gather = [&](const ValueNode& node) {
-            expected.insert(expected.end(), node.records.begin(), node.records.end());
-            node.attributes.ForEach(
-                [&](SymbolId, const std::unique_ptr<AttributeNode>& c2) {
-                  c2->values.ForEach(
-                      [&](SymbolId, const std::unique_ptr<ValueNode>& g2) { gather(*g2); });
-                });
-          };
-          gather(*grandchild);
-          std::sort(expected.begin(), expected.end());
-          if (expected != grandchild->subtree_cache) {
-            result = InternalError("subtree cache out of sync at " + val);
-            return;
-          }
-        }
         result = walk(*grandchild);
       });
     });
@@ -915,50 +831,45 @@ Status NameTree::CheckInvariants() const {
   // fingerprints chained root -> leaf; subtree slot sets deduped, a record
   // with several terminals below a node is one posting member) and demand
   // exact key-set and membership equality.
-  if (index_ != nullptr) {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> expected_sub;
-    std::unordered_map<uint64_t, uint32_t> expected_end;
-    std::unordered_map<uint64_t, uint32_t> expected_attr;
-    // Returns the sorted-unique slot set of the subtree rooted at `v`.
-    std::function<std::vector<uint32_t>(const ValueNode&, uint64_t)> walk_index =
-        [&](const ValueNode& v, uint64_t fp) -> std::vector<uint32_t> {
-      std::vector<uint32_t> slots;
-      for (const NameRecord* rec : v.records) {
-        slots.push_back(rec->slot_);
-      }
-      if (!v.records.empty()) {
-        expected_end[fp] = static_cast<uint32_t>(v.records.size());
-      }
-      v.attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
-        const uint64_t afp = PostingIndex::AttrFp(fp, child->attribute);
-        std::vector<uint32_t> under_attr;
-        child->values.ForEach([&](SymbolId, const std::unique_ptr<ValueNode>& grandchild) {
-          const uint64_t vfp =
-              PostingIndex::ValueFp(fp, child->attribute, grandchild->token);
-          std::vector<uint32_t> sub = walk_index(*grandchild, vfp);
-          expected_sub[vfp] = sub;
-          under_attr.insert(under_attr.end(), sub.begin(), sub.end());
-        });
-        std::sort(under_attr.begin(), under_attr.end());
-        under_attr.erase(std::unique(under_attr.begin(), under_attr.end()),
-                         under_attr.end());
-        expected_attr[afp] = static_cast<uint32_t>(under_attr.size());
-        slots.insert(slots.end(), under_attr.begin(), under_attr.end());
-      });
-      std::sort(slots.begin(), slots.end());
-      slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-      return slots;
-    };
-    walk_index(root_, PostingIndex::kRootFp);
-    for (const auto& [id, rec] : records_) {
-      if (rec->slot_ == 0xFFFFFFFFu || index_->RecordAt(rec->slot_) != rec.get()) {
-        return InternalError("record slot does not round-trip through the index: " +
-                             id.ToString());
-      }
+  std::unordered_map<uint64_t, std::vector<uint32_t>> expected_sub;
+  std::unordered_map<uint64_t, uint32_t> expected_end;
+  std::unordered_map<uint64_t, uint32_t> expected_attr;
+  // Returns the sorted-unique slot set of the subtree rooted at `v`.
+  std::function<std::vector<uint32_t>(const ValueNode&, uint64_t)> walk_index =
+      [&](const ValueNode& v, uint64_t fp) -> std::vector<uint32_t> {
+    std::vector<uint32_t> slots;
+    for (const NameRecord* rec : v.records) {
+      slots.push_back(rec->slot_);
     }
-    INS_RETURN_IF_ERROR(
-        index_->VerifyAgainst(expected_sub, expected_end, expected_attr, records_.size()));
+    if (!v.records.empty()) {
+      expected_end[fp] = static_cast<uint32_t>(v.records.size());
+    }
+    v.attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
+      const uint64_t afp = PostingIndex::AttrFp(fp, child->attribute);
+      std::vector<uint32_t> under_attr;
+      child->values.ForEach([&](SymbolId, const std::unique_ptr<ValueNode>& grandchild) {
+        const uint64_t vfp = PostingIndex::ValueFp(fp, child->attribute, grandchild->token);
+        std::vector<uint32_t> sub = walk_index(*grandchild, vfp);
+        expected_sub[vfp] = sub;
+        under_attr.insert(under_attr.end(), sub.begin(), sub.end());
+      });
+      std::sort(under_attr.begin(), under_attr.end());
+      under_attr.erase(std::unique(under_attr.begin(), under_attr.end()), under_attr.end());
+      expected_attr[afp] = static_cast<uint32_t>(under_attr.size());
+      slots.insert(slots.end(), under_attr.begin(), under_attr.end());
+    });
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+    return slots;
+  };
+  walk_index(root_, PostingIndex::kRootFp);
+  for (const auto& [id, rec] : records_) {
+    if (rec->slot_ == 0xFFFFFFFFu || index_.RecordAt(rec->slot_) != rec.get()) {
+      return InternalError("record slot does not round-trip through the index: " + id.ToString());
+    }
   }
+  INS_RETURN_IF_ERROR(
+      index_.VerifyAgainst(expected_sub, expected_end, expected_attr, records_.size()));
   return Status::Ok();
 }
 

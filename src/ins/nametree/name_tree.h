@@ -10,7 +10,11 @@
 //   * LOOKUP-NAME  — single-pass, no-backtracking retrieval of the records
 //                    matching a query specifier (Figure 5), with hash-table
 //                    attribute/value lookup (the Θ(n_a^d (1+b)) variant of
-//                    the §5.1.1 analysis);
+//                    the §5.1.1 analysis). Conjunctive literal queries are
+//                    served by the tree's posting index instead
+//                    (posting_index.h), whose sub_ postings are Figure 4's
+//                    "pointers to all the name-records" of each value-node;
+//                    the walk collects subtree records on demand;
 //   * GET-NAME     — reconstruct a record's specifier by tracing upward from
 //                    its leaf value-nodes and grafting onto already-extracted
 //                    fragments (Figure 6), used when sending updates.
@@ -54,30 +58,12 @@ namespace ins {
 
 class NameTree {
  public:
-  struct Options {
-    // Figure 4's caption describes value-nodes containing "pointers to all
-    // the name-records they correspond to". When enabled, every value-node
-    // maintains a sorted cache of the records in its subtree, kept
-    // incrementally on graft/ungraft: lookups intersect the cached lists
-    // instead of collecting subtrees on the fly (faster lookups, slower
-    // updates, more memory — quantified in bench_ablation_subtree_cache).
-    // The default (off) collects on demand.
-    bool cache_subtree_records = false;
-    // Intern table for attribute/value tokens. Null (the default): the tree
-    // owns a private table. ShardedNameTree passes one shared table to every
-    // space's tree, so a name compiled once is valid against all of them
-    // (the table is append-only and ids are stable).
-    std::shared_ptr<SymbolTable> symbols;
-    // Maintain a posting-list secondary index (posting_index.h) alongside
-    // the tree, and serve conjunctive literal queries by posting-list
-    // intersection; wildcard/range/union queries keep the tree walk. The
-    // index is provably result-identical to the walk (differential and
-    // property tests pin it); off reproduces the pre-index layout exactly.
-    bool enable_posting_index = true;
-  };
-
-  NameTree() : NameTree(Options{}) {}
-  explicit NameTree(Options options);
+  // A tree with a private intern table.
+  NameTree();
+  // A tree grafting against `symbols`. ShardedNameTree passes one shared
+  // table to every space's tree, so a name compiled once is valid against
+  // all of them (the table is append-only and ids are stable).
+  explicit NameTree(std::shared_ptr<SymbolTable> symbols);
   ~NameTree();
 
   NameTree(const NameTree&) = delete;
@@ -146,7 +132,7 @@ class NameTree {
     std::vector<uint32_t> slot_scratch_;
     std::vector<uint64_t> word_scratch_;
     // Per-thread plan memo (query_plan.h); keyed by index id + version, so
-    // it never serves stale plans across mutations or side flips.
+    // it never serves stale plans across mutations or across trees.
     QueryPlanCache plan_cache_;
   };
 
@@ -195,10 +181,10 @@ class NameTree {
 
   // As above with the query already compiled (ForQuery against symbols());
   // the per-store-operation path: compile once, run per shard. A null
-  // scratch uses the thread-local pool. With the posting index enabled,
-  // conjunctive literal queries are served by posting-list intersection
-  // (plan memoized in the scratch's QueryPlanCache); wildcard/range/union
-  // queries fall back to LookupTreeWalk. Results are identical either way.
+  // scratch uses the thread-local pool. Conjunctive literal queries are
+  // served by posting-list intersection (plan memoized in the scratch's
+  // QueryPlanCache); wildcard/range/union queries fall back to
+  // LookupTreeWalk. Results are identical either way.
   std::vector<const NameRecord*> Lookup(const CompiledName& query,
                                         LookupScratch* scratch = nullptr) const;
 
@@ -257,18 +243,15 @@ class NameTree {
     // shared (ShardedNameTree accounts it once at the store level instead,
     // so Figure 13 totals never double-count it).
     size_t symbol_bytes = 0;
-    // Portion of `bytes` that is the posting index (zero when disabled).
+    // Portion of `bytes` that is the posting index.
     size_t index_bytes = 0;
   };
   Stats ComputeStats() const;
 
-  // The posting index, or nullptr when Options::enable_posting_index is off.
-  // Exposed read-only for tests, stats aggregation, and the ablation bench.
-  const PostingIndex* posting_index() const { return index_.get(); }
-  // Counter snapshot; zeroed struct when the index is disabled.
-  PostingIndexStats index_stats() const {
-    return index_ != nullptr ? index_->Stats() : PostingIndexStats{};
-  }
+  // The posting index, exposed read-only for tests and stats aggregation.
+  const PostingIndex& posting_index() const { return index_; }
+  // Counter snapshot.
+  PostingIndexStats index_stats() const { return index_.Stats(); }
 
   // Renders the tree for debugging (NetworkManagement-style view).
   std::string DebugString() const;
@@ -300,10 +283,6 @@ class NameTree {
     SymbolMap<std::unique_ptr<AttributeNode>> attributes;
     // Records whose specifier has a leaf ending at this value-node.
     std::vector<NameRecord*> records;
-    // With Options::cache_subtree_records: every record in this subtree,
-    // sorted by pointer, one entry per terminal (duplicates possible when a
-    // record has several leaves below this node).
-    std::vector<const NameRecord*> subtree_cache;
   };
 
   // A sorted set of record pointers, or "the universal set" before the first
@@ -342,23 +321,18 @@ class NameTree {
                    uint32_t count, CandidateSet* s, LookupScratch* scratch) const;
   void SubtreeRecords(const ValueNode* node, std::vector<const NameRecord*>* out) const;
   void SubtreeRecords(const AttributeNode* node, std::vector<const NameRecord*>* out) const;
-  // Adds/removes one cache entry for `rec` on every ancestor of `leaf`.
-  void AddToAncestorCaches(ValueNode* leaf, const NameRecord* rec);
-  void RemoveFromAncestorCaches(ValueNode* leaf, const NameRecord* rec);
 
   // Pushes a (deadline, id) entry when a record's expiry is set or extended.
   // Entries are never erased in place; ExpireBefore pops lazily and skips
   // entries whose deadline no longer matches the live record.
   void PushExpiry(TimePoint expires, const AnnouncerId& id);
 
-  Options options_;
   std::shared_ptr<SymbolTable> symbols_;
   bool owns_symbols_ = false;
   ValueNode root_;
   std::map<AnnouncerId, std::unique_ptr<NameRecord>> records_;
-  // The posting-list secondary index (null when disabled). Mutated only on
-  // this tree's write path.
-  std::unique_ptr<PostingIndex> index_;
+  // The posting-list secondary index. Mutated only on this tree's write path.
+  PostingIndex index_;
 
   // Min-heap over (deadline, announcer), maintained with std::push/pop_heap
   // on a greater-than comparator. Stale entries (refreshed or removed

@@ -4,14 +4,8 @@
 
 namespace ins {
 
-ShardedNameTree::ShardedNameTree(Options options) : options_(std::move(options)) {
-  if (options_.tree_options.symbols == nullptr) {
-    options_.tree_options.symbols = std::make_shared<SymbolTable>();
-  }
-}
-
 void ShardedNameTree::AddSpace(const std::string& vspace) {
-  spaces_.try_emplace(vspace, options_);
+  spaces_.try_emplace(vspace, symbols_, journal_capacity_);
 }
 
 bool ShardedNameTree::RemoveSpace(const std::string& vspace) {
@@ -245,7 +239,7 @@ NameTree::Stats ShardedNameTree::ComputeStats() const {
   }
   // The shared intern table is part of the store's footprint; count it
   // exactly once (per-tree stats skip it because it is shared).
-  total.symbol_bytes = options_.tree_options.symbols->MemoryBytes();
+  total.symbol_bytes = symbols_->MemoryBytes();
   total.bytes += total.symbol_bytes;
   return total;
 }

@@ -33,16 +33,11 @@ namespace ins {
 
 class ShardedNameTree {
  public:
-  struct Options {
-    NameTree::Options tree_options;
-    // Ring capacity of the per-vspace change journal (journal.h). 0 — the
-    // seed default — disables journaling entirely: write paths skip capture
-    // and journal() returns nullptr. Enabled by the replication subsystem.
-    size_t journal_capacity = 0;
-  };
-
-  ShardedNameTree() : ShardedNameTree(Options{}) {}
-  explicit ShardedNameTree(Options options);
+  // `journal_capacity` is the ring capacity of the per-vspace change journal
+  // (journal.h). 0 — the default — disables journaling entirely: write paths
+  // skip capture and journal() returns nullptr. Enabled by the replication
+  // subsystem.
+  explicit ShardedNameTree(size_t journal_capacity = 0) : journal_capacity_(journal_capacity) {}
 
   ShardedNameTree(const ShardedNameTree&) = delete;
   ShardedNameTree& operator=(const ShardedNameTree&) = delete;
@@ -83,7 +78,7 @@ class ShardedNameTree {
   size_t ExpireBefore(TimePoint now,
                       std::vector<std::pair<std::string, AnnouncerId>>* expired = nullptr);
 
-  // ---- Change journal (Options::journal_capacity > 0) ----
+  // ---- Change journal (journal_capacity > 0) ----
 
   // The change journal of a routed space: every kNew/kChanged/kRenamed
   // upsert, Remove, and expiry sweep appends one serial-stamped entry
@@ -141,8 +136,7 @@ class ShardedNameTree {
   std::vector<ShardStats> PerShardStats() const;
   // Aggregate over every tree, the shared intern table counted once.
   NameTree::Stats ComputeStats() const;
-  // Posting-index counters summed across every tree. Zeroed struct when the
-  // index is disabled.
+  // Posting-index counters summed across every tree.
   PostingIndexStats IndexStatsTotal() const;
   Status CheckInvariants() const;
 
@@ -152,11 +146,10 @@ class ShardedNameTree {
 
  private:
   struct Space {
-    explicit Space(const Options& options)
-        : tree(options.tree_options),
-          journal(options.journal_capacity > 0
-                      ? std::make_unique<NameJournal>(options.journal_capacity)
-                      : nullptr) {}
+    Space(std::shared_ptr<SymbolTable> symbols, size_t journal_capacity)
+        : tree(std::move(symbols)),
+          journal(journal_capacity > 0 ? std::make_unique<NameJournal>(journal_capacity)
+                                       : nullptr) {}
     NameTree tree;
     std::unique_ptr<NameJournal> journal;
     mutable uint64_t lookups = 0;
@@ -170,9 +163,9 @@ class ShardedNameTree {
   static void JournalUpsert(Space& s, const NameSpecifier& name, const NameRecord& record);
   static void JournalTombstone(Space& s, JournalOp op, const AnnouncerId& id);
 
-  // tree_options.symbols is set at construction (when the caller left it
-  // null), so every space's tree shares one intern table.
-  Options options_;
+  size_t journal_capacity_;
+  // The intern table every space's tree shares.
+  std::shared_ptr<SymbolTable> symbols_ = std::make_shared<SymbolTable>();
   std::map<std::string, Space> spaces_;
 };
 

@@ -19,7 +19,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <regex>
 #include <sstream>
+#include <string>
 
 #include "ins/common/logging.h"
 
@@ -88,7 +90,8 @@ struct SoakResult {
 // demands serial-level replica convergence within one anti-entropy round,
 // and replica-kill-mid-flood (kind 7), which kills one member of a k=2
 // replica set and holds lookup goodput to the (k-1)/k floor.
-SoakResult RunSoak(uint64_t seed, bool replication = false) {
+// `rounds` fault windows are scripted (INS_CHAOS_ROUNDS by default).
+SoakResult RunSoak(uint64_t seed, bool replication = false, int rounds = SoakRounds()) {
   SoakResult result;
   std::ostringstream trace;
   Rng chaos(seed * 7919 + 17);
@@ -152,7 +155,6 @@ SoakResult RunSoak(uint64_t seed, bool replication = false) {
     cluster.DumpLostJourneys("chaos_seed" + std::to_string(seed));
   };
 
-  const int rounds = SoakRounds();
   // Names flooded during partition windows (kind 6); handles kept so their
   // owners keep refreshing them for the rest of the run.
   std::vector<std::unique_ptr<AdvertisementHandle>> flood_ads;
@@ -381,6 +383,23 @@ TEST_P(ChaosSoakReplicationTest, ReplicasConvergeAfterEveryFaultWindow) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoakReplicationTest,
                          ::testing::ValuesIn(SoakSeeds()));
+
+// Regression: replication seeds 53 and 96 reach a replica-kill window (kind
+// 7) whose "ha" replica set has grown past k members. The probe INR used to
+// be picked as "neither of the first two members", so it could be the third
+// member and the victim at once; the kill freed it mid-flood
+// (heap-use-after-free). The probe now comes from outside the whole set. The
+// `p<ip>;` marker in the trace shows the kill window really ran.
+class ChaosSoakProbeRegressionTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChaosSoakProbeRegressionTest, ReplicaKillProbeOutlivesTheVictim) {
+  SoakResult r = RunSoak(GetParam(), /*replication=*/true, /*rounds=*/24);
+  EXPECT_TRUE(r.ok) << r.failure << "\ntrace: " << r.fingerprint;
+  EXPECT_TRUE(std::regex_search(r.fingerprint, std::regex(";p[0-9]+;")))
+      << "no replica-kill window ran; trace: " << r.fingerprint;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoakProbeRegressionTest, ::testing::Values(53u, 96u));
 
 TEST(ChaosSoakDeterminismTest, SameSeedSameTrace) {
   for (uint64_t seed : {3u, 8u}) {

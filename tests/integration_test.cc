@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "ins/client/api.h"
@@ -55,6 +57,14 @@ struct ConvergenceParams {
   uint32_t services;
   double loss;
 };
+
+// Spells the fields out, e.g. "inrs4_services12_loss2pct". gtest_discover_tests
+// names each ctest case after the printed parameter, so this is also the
+// case name ctest shows.
+void PrintTo(const ConvergenceParams& p, std::ostream* os) {
+  *os << "inrs" << p.inrs << "_services" << p.services << "_loss" << std::lround(p.loss * 100)
+      << "pct";
+}
 
 class ConvergenceTest : public ::testing::TestWithParam<ConvergenceParams> {};
 

@@ -101,12 +101,6 @@ NameRecord Rec(uint32_t discriminator, uint64_t version) {
   return rec;
 }
 
-ShardedNameTree::Options StoreOptions(size_t journal_capacity) {
-  ShardedNameTree::Options opts;
-  opts.journal_capacity = journal_capacity;
-  return opts;
-}
-
 TEST(StoreJournalTest, DisabledByDefault) {
   ShardedNameTree store;
   store.AddSpace("");
@@ -116,7 +110,7 @@ TEST(StoreJournalTest, DisabledByDefault) {
 }
 
 TEST(StoreJournalTest, ChangesJournalRefreshesDoNot) {
-  ShardedNameTree store(StoreOptions(64));
+  ShardedNameTree store(/*journal_capacity=*/64);
   store.AddSpace("");
   const NameSpecifier name = *ParseNameSpecifier("[a=1]");
 
@@ -152,7 +146,7 @@ TEST(StoreJournalTest, ChangesJournalRefreshesDoNot) {
 }
 
 TEST(StoreJournalTest, RemovesAndExpiriesAppendTombstones) {
-  ShardedNameTree store(StoreOptions(64));
+  ShardedNameTree store(/*journal_capacity=*/64);
   store.AddSpace("");
   store.Upsert("", *ParseNameSpecifier("[a=1]"), Rec(1, 1));
   store.Upsert("", *ParseNameSpecifier("[a=2]"), Rec(2, 1));
@@ -179,7 +173,7 @@ TEST(StoreJournalTest, RemovesAndExpiriesAppendTombstones) {
 }
 
 TEST(StoreJournalTest, BatchJournalsAppliedEntriesOnly) {
-  ShardedNameTree store(StoreOptions(64));
+  ShardedNameTree store(/*journal_capacity=*/64);
   store.AddSpace("");
   store.Upsert("", *ParseNameSpecifier("[a=1]"), Rec(1, 5));
   ASSERT_EQ(store.JournalHead(""), 1u);
@@ -205,9 +199,7 @@ TEST(StoreJournalTest, BatchJournalsAppliedEntriesOnly) {
 }
 
 TEST(StoreJournalTest, PerSpaceSerialsAreIndependent) {
-  ShardedNameTree::Options opts;
-  opts.journal_capacity = 16;
-  ShardedNameTree store(opts);
+  ShardedNameTree store(/*journal_capacity=*/16);
   store.AddSpace("alpha");
   store.AddSpace("beta");
   store.Upsert("alpha", *ParseNameSpecifier("[a=1]"), Rec(1, 1));

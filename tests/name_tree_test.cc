@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "ins/name/matcher.h"
@@ -243,6 +244,15 @@ struct SweepParams {
   size_t num_names;
   UniformNameParams shape;
 };
+
+// Spells the fields out, e.g. "seed3_names40_shape1x2x1x2" (the shape is
+// ra x rv x na x d). gtest_discover_tests names each ctest case after the
+// printed parameter, so this is also the case name ctest shows.
+void PrintTo(const SweepParams& sp, std::ostream* os) {
+  const UniformNameParams& s = sp.shape;
+  *os << "seed" << sp.seed << "_names" << sp.num_names << "_shape" << s.ra << "x" << s.rv << "x"
+      << s.na << "x" << s.d;
+}
 
 class LookupExactOracleTest : public ::testing::TestWithParam<SweepParams> {};
 

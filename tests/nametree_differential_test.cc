@@ -61,19 +61,11 @@ struct LiveName {
 // bookkeeping needed to generate valid next operations.
 class Harness {
  public:
-  static NameTree::Options IndexOffOptions() {
-    NameTree::Options o;
-    o.enable_posting_index = false;
-    return o;
-  }
-
-  Harness(uint64_t seed, UniformNameParams params)
-      : rng_(seed), params_(params), tree_off_(IndexOffOptions()) {
-    ShardedNameTree::Options opts;
-    // Small ring on purpose: stretches between replica syncs regularly
-    // overflow it, so the snapshot-fallback path runs alongside deltas.
-    opts.journal_capacity = 32;
-    sharded_ = std::make_unique<ShardedNameTree>(opts);
+  Harness(uint64_t seed, UniformNameParams params) : rng_(seed), params_(params) {
+    // Small journal ring on purpose: stretches between replica syncs
+    // regularly overflow it, so the snapshot-fallback path runs alongside
+    // deltas.
+    sharded_ = std::make_unique<ShardedNameTree>(/*journal_capacity=*/32);
     sharded_->AddSpace("");
     replica_ = std::make_unique<ShardedNameTree>();
     replica_->AddSpace("");
@@ -107,7 +99,6 @@ class Harness {
     OpReplicateAndCompare();
     CompareAll("final");
     ASSERT_TRUE(tree_.CheckInvariants().ok());
-    ASSERT_TRUE(tree_off_.CheckInvariants().ok());
     ASSERT_TRUE(sharded_->CheckInvariants().ok());
     ASSERT_TRUE(replica_->CheckInvariants().ok());
 
@@ -117,7 +108,6 @@ class Harness {
     const PostingIndexStats stats = tree_.index_stats();
     EXPECT_GT(stats.TotalLookups(), 0u);
     EXPECT_GT(stats.index_lookups + stats.empty_lookups, 0u);
-    EXPECT_EQ(tree_off_.posting_index(), nullptr);
     // Scratch capacity pinned between lookups stays under the Trim caps.
     EXPECT_LE(scratch_.RetainedBytes(), size_t{16} << 20);
   }
@@ -137,7 +127,6 @@ class Harness {
     NameRecord rec = MakeRecord(ln);
     oracle_.Upsert(ln.name, rec);
     tree_.Upsert(ln.name, rec);
-    tree_off_.Upsert(ln.name, rec);
     sharded_->Upsert("", ln.name, rec);
   }
 
@@ -183,7 +172,6 @@ class Harness {
     const bool c = sharded_->Remove("", id);
     ASSERT_EQ(a, b);
     ASSERT_EQ(a, c);
-    ASSERT_EQ(a, tree_off_.Remove(id));
     live_.erase(live_.begin() + static_cast<long>(idx));
   }
 
@@ -194,7 +182,6 @@ class Harness {
     const size_t c = sharded_->ExpireBefore(now_);
     ASSERT_EQ(a, b) << "expiry divergence at t=" << now_.count();
     ASSERT_EQ(a, c) << "expiry divergence at t=" << now_.count();
-    ASSERT_EQ(a, tree_off_.ExpireBefore(now_)) << "expiry divergence at t=" << now_.count();
     std::erase_if(live_, [this](const LiveName& ln) { return ln.expires < now_; });
   }
 
@@ -281,14 +268,11 @@ class Harness {
         << "compiled LOOKUP-NAME (explicit scratch) diverged on " << q.ToString();
     EXPECT_EQ(oracle, Render(tree_.Lookup(cq)))
         << "compiled LOOKUP-NAME (thread-local scratch) diverged on " << q.ToString();
-    // Posting-index three-way: the index path (default Lookup above), the
-    // Figure-5 walk on the same tree, and a tree built with the index off
-    // must all match the Matches()-scan oracle on every query.
+    // Posting-index three-way: the index path (default Lookup above) and the
+    // Figure-5 walk on the same tree must both match the Matches()-scan
+    // oracle on every query.
     EXPECT_EQ(oracle, Render(tree_.LookupTreeWalk(cq, &scratch_)))
         << "tree walk diverged from index path on " << q.ToString();
-    EXPECT_EQ(oracle,
-              Render(tree_off_.Lookup(CompiledName::ForQuery(q, tree_off_.symbols()))))
-        << "index-off tree diverged on " << q.ToString();
     EXPECT_EQ(oracle, Render(sharded_->Lookup("", q)))
         << "sharded LOOKUP-NAME diverged on " << q.ToString();
     if (!live_.empty()) {
@@ -362,9 +346,6 @@ class Harness {
 
   LinearNameTable oracle_;
   NameTree tree_;
-  // Same workload with Options::enable_posting_index = false: pins that the
-  // index-off configuration reproduces the pre-index behavior exactly.
-  NameTree tree_off_;
   NameTree::LookupScratch scratch_;  // reused across every compiled lookup
   std::unique_ptr<ShardedNameTree> sharded_;
   // Journal-fed replica of sharded_ (see OpReplicateAndCompare).
@@ -489,10 +470,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternedVsStringKeyedTest,
 // to compile once and apply to any space's tree.
 TEST(SharedSymbolTableTest, CompileOncePortableAcrossTrees) {
   auto symbols = std::make_shared<SymbolTable>();
-  NameTree::Options opts;
-  opts.symbols = symbols;
-  NameTree left(opts);
-  NameTree right(opts);
+  NameTree left(symbols);
+  NameTree right(symbols);
   ASSERT_EQ(&left.symbols(), symbols.get());
   ASSERT_EQ(&right.symbols(), symbols.get());
 

@@ -12,7 +12,8 @@
 //     threshold re-encode between sorted-array and bitmap representations
 //     without changing membership, with hysteresis on the way down;
 //   * fallback equivalence — wildcard, range, and union-at-return queries
-//     take the tree walk and agree with an index-free tree exactly.
+//     take the tree walk, and Lookup agrees with LookupTreeWalk and with a
+//     Matches() scan exactly.
 //
 // Plus the LookupScratch retention regression: a degenerate query against a
 // large tree must not leave megabytes pinned in the thread's scratch.
@@ -27,6 +28,7 @@
 
 #include "ins/common/rng.h"
 #include "ins/name/compiled_name.h"
+#include "ins/name/matcher.h"
 #include "ins/nametree/name_tree.h"
 #include "ins/nametree/posting_index.h"
 #include "ins/nametree/sharded_name_tree.h"
@@ -53,10 +55,20 @@ std::set<std::string> Announcers(const std::vector<const NameRecord*>& recs) {
   return out;
 }
 
-NameTree::Options IndexOff() {
-  NameTree::Options o;
-  o.enable_posting_index = false;
-  return o;
+// The Matches() scan over `names`, where names[i] was advertised with
+// MakeRecord(i + 1): a reference that shares no code with either engine.
+// Exact on the fallback workloads below: the wildcard/range one is
+// schema-complete, and in the union-at-return one the records that omit
+// `room` are the ones the union rule adds back.
+std::set<std::string> MatchingAnnouncers(const std::vector<NameSpecifier>& names,
+                                         const NameSpecifier& query) {
+  std::set<std::string> out;
+  for (uint32_t i = 0; i < names.size(); ++i) {
+    if (Matches(names[i], query)) {
+      out.insert(MakeRecord(i + 1).announcer.ToString());
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -69,8 +81,7 @@ TEST(PostingIndexPropertyTest, PlanResultInvariantUnderTermReordering) {
   for (uint32_t i = 1; i <= 600; ++i) {
     tree.Upsert(GenerateUniformName(rng, UniformNameParams{4, 3, 3, 2}), MakeRecord(i));
   }
-  const PostingIndex* index = tree.posting_index();
-  ASSERT_NE(index, nullptr);
+  const PostingIndex& index = tree.posting_index();
 
   size_t multi_term_plans = 0;
   std::vector<uint32_t> slots_a;
@@ -80,19 +91,19 @@ TEST(PostingIndexPropertyTest, PlanResultInvariantUnderTermReordering) {
     const NameSpecifier query = GenerateUniformName(rng, UniformNameParams{4, 3, 3, 2});
     const CompiledName cq = CompiledName::ForQuery(query, tree.symbols());
     QueryPlan plan;
-    index->DerivePlan(cq, &plan);
+    index.DerivePlan(cq, &plan);
     if (plan.kind != QueryPlan::Kind::kIndex || plan.terms.size() < 2) {
       continue;
     }
     ++multi_term_plans;
-    index->Evaluate(plan, &slots_a, &words);
+    index.Evaluate(plan, &slots_a, &words);
 
     // Every permutation round: shuffle, re-evaluate, same ascending slots.
     for (int round = 0; round < 4; ++round) {
       for (size_t i = plan.terms.size(); i > 1; --i) {
         std::swap(plan.terms[i - 1], plan.terms[rng.NextBelow(i)]);
       }
-      index->Evaluate(plan, &slots_b, &words);
+      index.Evaluate(plan, &slots_b, &words);
       ASSERT_EQ(slots_a, slots_b) << "term order changed the intersection on "
                                   << query.ToString();
     }
@@ -100,7 +111,7 @@ TEST(PostingIndexPropertyTest, PlanResultInvariantUnderTermReordering) {
     // And the slots agree with the Figure-5 walk on the same tree.
     std::set<std::string> via_index;
     for (uint32_t s : slots_a) {
-      via_index.insert(index->RecordAt(s)->announcer.ToString());
+      via_index.insert(index.RecordAt(s)->announcer.ToString());
     }
     EXPECT_EQ(via_index, Announcers(tree.LookupTreeWalk(cq))) << query.ToString();
   }
@@ -587,15 +598,14 @@ TEST(PostingIndexPropertyTest, TreeChurnPromotesAndDemotesWithIdenticalResults) 
     n.AddPath({{"svc", "hot"}, {"unit", "u" + std::to_string(i)}});
     tree.Upsert(n, MakeRecord(i));
   }
-  const PostingIndex* index = tree.posting_index();
-  ASSERT_NE(index, nullptr);
+  const PostingIndex& index = tree.posting_index();
   PostingIndexStats stats = tree.index_stats();
   EXPECT_GT(stats.promotions, 0u);
 
   const uint64_t vfp = PostingIndex::ValueFp(PostingIndex::kRootFp,
                                              tree.symbols().Find("svc"),
                                              tree.symbols().Find("hot"));
-  const PostingList* posting = index->FindPosting(vfp);
+  const PostingList* posting = index.FindPosting(vfp);
   ASSERT_NE(posting, nullptr);
   EXPECT_TRUE(posting->is_bitmap());
   EXPECT_EQ(posting->count(), 300u);
@@ -613,7 +623,7 @@ TEST(PostingIndexPropertyTest, TreeChurnPromotesAndDemotesWithIdenticalResults) 
   }
   stats = tree.index_stats();
   EXPECT_GT(stats.demotions, 0u);
-  posting = index->FindPosting(vfp);
+  posting = index.FindPosting(vfp);
   ASSERT_NE(posting, nullptr);
   EXPECT_FALSE(posting->is_bitmap());
   EXPECT_EQ(posting->count(), 10u);
@@ -662,18 +672,17 @@ TEST(PostingIndexPropertyTest, RenameChurnKeepsSlotUniverseCompact) {
 
 TEST(PostingIndexPropertyTest, WildcardAndRangeQueriesFallBackAndAgree) {
   Rng rng(43);
-  NameTree with_index;
-  NameTree without(IndexOff());
+  NameTree tree;
+  std::vector<NameSpecifier> names;
   for (uint32_t i = 1; i <= 400; ++i) {
     NameSpecifier n;
     n.AddPath({{"svc", "s" + std::to_string(rng.NextBelow(6))},
                {"load", std::to_string(rng.NextBelow(100))}});
-    NameRecord rec = MakeRecord(i);
-    with_index.Upsert(n, rec);
-    without.Upsert(n, rec);
+    tree.Upsert(n, MakeRecord(i));
+    names.push_back(n);
   }
 
-  const PostingIndexStats before = with_index.index_stats();
+  const PostingIndexStats before = tree.index_stats();
   for (int q = 0; q < 100; ++q) {
     NameSpecifier wild;
     wild.AddPathValue({}, "svc", Value::Wildcard());
@@ -682,14 +691,13 @@ TEST(PostingIndexPropertyTest, WildcardAndRangeQueriesFallBackAndAgree) {
                        Value::Range(Value::Kind::kLess,
                                     static_cast<double>(rng.NextBelow(100))));
     for (const NameSpecifier& query : {wild, range}) {
-      const CompiledName ci = CompiledName::ForQuery(query, with_index.symbols());
-      const CompiledName co = CompiledName::ForQuery(query, without.symbols());
-      const std::set<std::string> got = Announcers(with_index.Lookup(ci));
-      EXPECT_EQ(got, Announcers(without.Lookup(co))) << query.ToString();
-      EXPECT_EQ(got, Announcers(with_index.LookupTreeWalk(ci))) << query.ToString();
+      const CompiledName cq = CompiledName::ForQuery(query, tree.symbols());
+      const std::set<std::string> got = Announcers(tree.Lookup(cq));
+      EXPECT_EQ(got, Announcers(tree.LookupTreeWalk(cq))) << query.ToString();
+      EXPECT_EQ(got, MatchingAnnouncers(names, query)) << query.ToString();
     }
   }
-  const PostingIndexStats after = with_index.index_stats();
+  const PostingIndexStats after = tree.index_stats();
   EXPECT_EQ(after.fallback_wildcard - before.fallback_wildcard, 100u);
   EXPECT_EQ(after.fallback_range - before.fallback_range, 100u);
   EXPECT_EQ(after.index_lookups, before.index_lookups);  // none served by lists
@@ -700,9 +708,9 @@ TEST(PostingIndexPropertyTest, UnionAtReturnQueriesFallBackAndAgree) {
   // records continue ([svc=cam [room=r]]): a query reaching past the interior
   // attachment triggers Figure 5's union-at-return rule, which plans cannot
   // express — the index must detect it (sub > end with children) and fall
-  // back, agreeing with an index-free tree exactly.
-  NameTree with_index;
-  NameTree without(IndexOff());
+  // back, agreeing with the walk exactly.
+  NameTree tree;
+  std::vector<NameSpecifier> names;
   for (uint32_t i = 1; i <= 40; ++i) {
     NameSpecifier n;
     if (i % 4 == 0) {
@@ -710,23 +718,22 @@ TEST(PostingIndexPropertyTest, UnionAtReturnQueriesFallBackAndAgree) {
     } else {
       n.AddPath({{"svc", "cam"}, {"room", "r" + std::to_string(i % 5)}});
     }
-    NameRecord rec = MakeRecord(i);
-    with_index.Upsert(n, rec);
-    without.Upsert(n, rec);
+    tree.Upsert(n, MakeRecord(i));
+    names.push_back(n);
   }
 
-  const PostingIndexStats before = with_index.index_stats();
+  const PostingIndexStats before = tree.index_stats();
   for (uint32_t r = 0; r < 5; ++r) {
     NameSpecifier q;
     q.AddPath({{"svc", "cam"}, {"room", "r" + std::to_string(r)}});
-    const CompiledName ci = CompiledName::ForQuery(q, with_index.symbols());
-    const CompiledName co = CompiledName::ForQuery(q, without.symbols());
-    const std::vector<const NameRecord*> got = with_index.Lookup(ci);
-    EXPECT_EQ(Announcers(got), Announcers(without.Lookup(co))) << q.ToString();
+    const CompiledName cq = CompiledName::ForQuery(q, tree.symbols());
+    const std::vector<const NameRecord*> got = tree.Lookup(cq);
+    EXPECT_EQ(Announcers(got), Announcers(tree.LookupTreeWalk(cq))) << q.ToString();
+    EXPECT_EQ(Announcers(got), MatchingAnnouncers(names, q)) << q.ToString();
     // The interior attachments themselves are part of the answer (union).
     EXPECT_GE(got.size(), 10u) << q.ToString();
   }
-  const PostingIndexStats after = with_index.index_stats();
+  const PostingIndexStats after = tree.index_stats();
   EXPECT_EQ(after.fallback_union - before.fallback_union, 5u);
 }
 
