@@ -96,18 +96,11 @@ void NetworkMonitor::PollOnce() {
 }
 
 void NetworkMonitor::RequestSnapshot(const NodeAddress& resolver) {
-  if (options_.delta_polling) {
-    MetricsDeltaRequest req;
-    req.request_id = next_request_id_++;
-    req.reply_to = transport_->local_address();
-    auto it = resolvers_.find(resolver);
-    req.since_seq = it == resolvers_.end() ? 0 : it->second.last_seq;
-    transport_->Send(resolver, Encode(req));
-    return;
-  }
-  MetricsRequest req;
+  MetricsDeltaRequest req;
   req.request_id = next_request_id_++;
   req.reply_to = transport_->local_address();
+  auto it = resolvers_.find(resolver);
+  req.since_seq = it == resolvers_.end() ? 0 : it->second.last_seq;
   transport_->Send(resolver, Encode(req));
 }
 
@@ -119,8 +112,6 @@ void NetworkMonitor::OnMessage(const NodeAddress& src, const Bytes& data) {
   }
   if (const auto* disc = std::get_if<DiscoveryResponse>(&env->body)) {
     HandleDiscoveryResponse(*disc);
-  } else if (const auto* metrics = std::get_if<MetricsResponse>(&env->body)) {
-    HandleMetricsResponse(*metrics);
   } else if (const auto* delta = std::get_if<MetricsDeltaResponse>(&env->body)) {
     HandleMetricsDeltaResponse(*delta);
   }
@@ -136,24 +127,10 @@ void NetworkMonitor::HandleDiscoveryResponse(const DiscoveryResponse& resp) {
       ResolverStatus status;
       status.address = resolver;
       status.last_update = executor_->Now();
-      status.series = MetricsTimeSeries(options_.timeseries_capacity);
       resolvers_.emplace(resolver, std::move(status));
       RequestSnapshot(resolver);
     }
   }
-}
-
-void NetworkMonitor::CommitSnapshot(ResolverStatus& status) {
-  status.last_update = executor_->Now();
-  status.series.Append(status.snapshot, status.last_update);
-}
-
-void NetworkMonitor::HandleMetricsResponse(const MetricsResponse& resp) {
-  ++snapshots_received_;
-  ResolverStatus& status = resolvers_[resp.inr];
-  status.address = resp.inr;
-  status.snapshot = SnapshotFromResponse(resp);
-  CommitSnapshot(status);
 }
 
 void NetworkMonitor::HandleMetricsDeltaResponse(const MetricsDeltaResponse& resp) {
@@ -174,7 +151,8 @@ void NetworkMonitor::HandleMetricsDeltaResponse(const MetricsDeltaResponse& resp
   }
   ApplyMetricsDelta(resp, status.snapshot);
   status.last_seq = resp.seq;
-  CommitSnapshot(status);
+  status.last_update = executor_->Now();
+  status.series.Append(status.snapshot, status.last_update);
 }
 
 void NetworkMonitor::ForgetStale() {

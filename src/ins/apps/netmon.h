@@ -5,12 +5,13 @@
 // bootstrapped intentionally: resolvers running with NetmonConfig.advertise
 // announce [service=netmon][node=<addr>] into the namespace, the monitor
 // discovers them with one DiscoveryRequest against that filter, then polls
-// each incrementally (MetricsDeltaRequest: only the slots that changed since
-// the monitor's last-seen sequence come back; a gap or resolver restart
-// falls back to one full snapshot) and maintains a per-resolver time-series
-// of the reassembled snapshots. Resolver state here is soft like everything
-// else: entries for resolvers that stop answering are aged out after
-// `forget_after`.
+// each with MetricsDeltaRequest. The first poll of a resolver asks from
+// sequence 0 and gets a full snapshot; later polls get only the slots that
+// changed since the monitor's last-seen sequence, and a gap or resolver
+// restart falls back to one full snapshot. The monitor keeps a per-resolver
+// time-series of the reassembled snapshots. Resolver state here is soft like
+// everything else: entries for resolvers that stop answering are aged out
+// after `forget_after`.
 //
 // On top of the time-series the monitor evaluates service-level objectives
 // with multi-window burn rates (a short window to catch fast burns, a long
@@ -72,13 +73,11 @@ class NetworkMonitor {
     // Drop a resolver from the report when it has not answered for this long
     // (it crashed, or its netmon advertisement expired).
     Duration forget_after = Seconds(30);
-    // Incremental polling (MetricsDeltaRequest). Off = the seed behaviour:
-    // every poll ships a full MetricsResponse snapshot.
-    bool delta_polling = true;
-    // Retained samples per resolver (the SLO windows must fit inside).
-    size_t timeseries_capacity = 64;
     SloConfig slo;
   };
+
+  // Retained samples per resolver (the SLO windows must fit inside).
+  static constexpr size_t kSeriesCapacity = 64;
 
   struct ResolverStatus {
     NodeAddress address;
@@ -89,7 +88,7 @@ class NetworkMonitor {
     // onto our baseline — most notably after a resolver restart.
     uint64_t last_seq = 0;
     // Periodic snapshots; the SLO burn windows are evaluated against this.
-    MetricsTimeSeries series{64};
+    MetricsTimeSeries series{kSeriesCapacity};
   };
 
   NetworkMonitor(Executor* executor, Transport* transport, Options options);
@@ -132,13 +131,9 @@ class NetworkMonitor {
  private:
   void OnMessage(const NodeAddress& src, const Bytes& data);
   void HandleDiscoveryResponse(const DiscoveryResponse& resp);
-  void HandleMetricsResponse(const MetricsResponse& resp);
   void HandleMetricsDeltaResponse(const MetricsDeltaResponse& resp);
   void RequestSnapshot(const NodeAddress& resolver);
   void ForgetStale();
-  // Shared tail of both response paths: stamps the status and appends the
-  // reassembled snapshot to the resolver's time-series.
-  void CommitSnapshot(ResolverStatus& status);
 
   Executor* executor_;
   Transport* transport_;

@@ -10,6 +10,21 @@
 
 namespace ins {
 
+namespace {
+// Soft-state lifetime of an advertisement.
+constexpr uint32_t kAdvertisementLifetimeS = 45;
+constexpr Duration kRequestTimeout = Seconds(2);
+constexpr BackoffConfig kRetryBackoff{Milliseconds(250), Seconds(2), 2.0, 0.3};
+// Consecutive request timeouts (or missed resolver pongs) after which the
+// attached resolver is presumed dead and the client re-attaches through the
+// DSR, preferring a different resolver. Needs a valid `dsr`.
+constexpr int kFailoverAfterTimeouts = 2;
+constexpr BackoffConfig kAttachBackoff{Milliseconds(500), Seconds(8), 2.0, 0.3};
+// Seed for retry jitter; mixed with the client's address, it keeps a fleet
+// decorrelated while simulation runs stay reproducible.
+constexpr uint64_t kJitterSeed = 0xC11E57;
+}  // namespace
+
 // --- AdvertisementHandle -----------------------------------------------------
 
 AdvertisementHandle::~AdvertisementHandle() {
@@ -42,8 +57,8 @@ InsClient::InsClient(Executor* executor, Transport* transport, ClientConfig conf
     : executor_(executor),
       transport_(transport),
       config_(config),
-      rng_(config_.jitter_seed ^ transport->local_address().ip),
-      attach_backoff_(config_.attach_backoff, &rng_) {
+      rng_(kJitterSeed ^ transport->local_address().ip),
+      attach_backoff_(kAttachBackoff, &rng_) {
   transport_->SetReceiveHandler(
       [this](const NodeAddress& src, const Bytes& data) { OnMessage(src, data); });
 }
@@ -97,7 +112,7 @@ void InsClient::BeginAttach(const NodeAddress& exclude) {
 
 void InsClient::NoteRequestTimeout() {
   metrics_.Increment("client.request_timeouts");
-  if (++consecutive_timeouts_ < config_.failover_after_timeouts) {
+  if (++consecutive_timeouts_ < kFailoverAfterTimeouts) {
     return;
   }
   if (!attached() || !config_.dsr.IsValid()) {
@@ -175,7 +190,7 @@ void InsClient::AnnounceNow(AdvertisementHandle* handle) {
   ad.announcer = handle->announcer_;
   ad.endpoint = handle->endpoint_;
   ad.app_metric = handle->metric_;
-  ad.lifetime_s = config_.advertisement_lifetime_s;
+  ad.lifetime_s = kAdvertisementLifetimeS;
   ad.version = ++handle->version_;
   transport_->Send(inr_, Encode(ad));
   metrics_.Increment("client.advertisements_sent");
@@ -222,10 +237,9 @@ void InsClient::Discover(const NameSpecifier& filter, const std::string& vspace,
   req.filter_text = filter.ToString();
   req.reply_to = transport_->local_address();
 
-  TaskId timeout =
-      executor_->ScheduleAfter(config_.request_timeout, [this, id] { OnDiscoverTimeout(id); });
+  TaskId timeout = executor_->ScheduleAfter(kRequestTimeout, [this, id] { OnDiscoverTimeout(id); });
   pending_discovers_.emplace(
-      id, PendingDiscover{req, std::move(cb), timeout, 1, Backoff(config_.retry_backoff, &rng_)});
+      id, PendingDiscover{req, std::move(cb), timeout, 1, Backoff(kRetryBackoff, &rng_)});
   transport_->Send(inr_, Encode(req));
   metrics_.Increment("client.discoveries_sent");
 }
@@ -259,7 +273,7 @@ void InsClient::ResendDiscover(uint64_t id) {
     transport_->Send(inr_, Encode(it->second.request));
   }
   it->second.timeout_task =
-      executor_->ScheduleAfter(config_.request_timeout, [this, id] { OnDiscoverTimeout(id); });
+      executor_->ScheduleAfter(kRequestTimeout, [this, id] { OnDiscoverTimeout(id); });
 }
 
 void InsClient::ResolveEarly(const NameSpecifier& name, ResolveCallback cb) {
@@ -278,10 +292,9 @@ void InsClient::ResolveEarly(const NameSpecifier& name, ResolveCallback cb) {
   req.destination_name = name.ToString();
   req.payload = EncodeEarlyBindingPayload(id, transport_->local_address());
 
-  TaskId timeout =
-      executor_->ScheduleAfter(config_.request_timeout, [this, id] { OnResolveTimeout(id); });
+  TaskId timeout = executor_->ScheduleAfter(kRequestTimeout, [this, id] { OnResolveTimeout(id); });
   pending_resolves_.emplace(
-      id, PendingResolve{req, std::move(cb), timeout, 1, Backoff(config_.retry_backoff, &rng_)});
+      id, PendingResolve{req, std::move(cb), timeout, 1, Backoff(kRetryBackoff, &rng_)});
   transport_->Send(inr_, Encode(req));
   metrics_.Increment("client.resolves_sent");
 }
@@ -313,7 +326,7 @@ void InsClient::ResendResolve(uint64_t id) {
     transport_->Send(inr_, Encode(it->second.request));
   }
   it->second.timeout_task =
-      executor_->ScheduleAfter(config_.request_timeout, [this, id] { OnResolveTimeout(id); });
+      executor_->ScheduleAfter(kRequestTimeout, [this, id] { OnResolveTimeout(id); });
 }
 
 Status InsClient::SendData(const NameSpecifier& destination, const Bytes& payload,

@@ -33,29 +33,19 @@ struct ClientConfig {
   // active list and attaches to the first resolver.
   NodeAddress inr;
   NodeAddress dsr;
-  // Advertisement refresh period and soft-state lifetime.
+  // Advertisement refresh period.
   Duration refresh_interval = Seconds(15);
-  uint32_t advertisement_lifetime_s = 45;
-  Duration request_timeout = Seconds(2);
 
   // --- Resilience -----------------------------------------------------------
   // Total send attempts per Discover/ResolveEarly before the callback fails
   // with kDeadlineExceeded. Retries keep the request id, so a late answer to
   // an earlier attempt still completes the operation. Total retry time is
-  // bounded: attempts * request_timeout plus the (capped) backoffs between.
+  // bounded: attempts * the request timeout plus the (capped) backoffs
+  // between.
   int max_request_attempts = 3;
-  BackoffConfig retry_backoff{Milliseconds(250), Seconds(2), 2.0, 0.3};
-  // Consecutive request timeouts (or missed resolver pongs) after which the
-  // attached resolver is presumed dead and the client re-attaches through the
-  // DSR, preferring a different resolver. Needs a valid `dsr`.
-  int failover_after_timeouts = 2;
   // Bound on operations queued while unattached; excess fails kUnavailable
   // instead of growing without limit while the domain is down.
   size_t max_pending_ops = 64;
-  BackoffConfig attach_backoff{Milliseconds(500), Seconds(8), 2.0, 0.3};
-  // Seed for retry jitter; per-client value keeps a fleet decorrelated while
-  // simulation runs stay reproducible.
-  uint64_t jitter_seed = 0xC11E57;
 
   // Hop-by-hop tracing: every Nth data packet this client sends carries a
   // trace id (and the kFlagTraceSampled wire bit), leaving events in each
@@ -198,8 +188,8 @@ class InsClient {
   // `exclude` is ADDED to the set — consecutive failovers accumulate, so a
   // chain of dead resolvers is not revisited while hunting for a live one.
   void BeginAttach(const NodeAddress& exclude);
-  // One Discover/Resolve attempt timed out: after `failover_after_timeouts`
-  // in a row the attached resolver is presumed dead and we re-attach.
+  // One Discover/Resolve attempt timed out: after kFailoverAfterTimeouts in
+  // a row the attached resolver is presumed dead and we re-attach.
   void NoteRequestTimeout();
   // The attached resolver actually answered something: reset the timeout
   // strike counter AND clear the exclusion set, so a resolver excluded

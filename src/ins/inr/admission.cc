@@ -8,6 +8,12 @@ namespace ins {
 
 namespace {
 
+// Load-signal thresholds; class 2 trips first by a wide margin.
+constexpr Duration kShedClass2Lag = Milliseconds(50);
+constexpr Duration kShedClass1Lag = Milliseconds(250);
+// Smoothing factor for the drain-lag EWMA.
+constexpr double kLagEwmaAlpha = 0.2;
+
 const char* kAdmittedCounter[3] = {"admission.admitted.class0", "admission.admitted.class1",
                                    "admission.admitted.class2"};
 const char* kProcessedCounter[3] = {"admission.processed.class0",
@@ -128,11 +134,11 @@ void AdmissionController::Admit(const NodeAddress& src, Envelope env) {
   // refreshes must land however busy the resolver is, or the name tree
   // expires under the very overload it is meant to survive.
   const Duration load = LoadSignal();
-  if (cls == 2 && load >= config_.shed_class2_lag) {
+  if (cls == 2 && load >= kShedClass2Lag) {
     Shed(cls, "lag", env);
     return;
   }
-  if (cls == 1 && load >= config_.shed_class1_lag) {
+  if (cls == 1 && load >= kShedClass1Lag) {
     Shed(cls, "lag", env);
     return;
   }
@@ -182,9 +188,9 @@ void AdmissionController::DrainOne() {
 
   const TimePoint now = executor_->Now();
   const Duration queued = now - msg.enqueued;
-  const double alpha = config_.lag_ewma_alpha;
-  lag_ewma_ = Duration(static_cast<int64_t>(alpha * static_cast<double>(queued.count()) +
-                                            (1.0 - alpha) * static_cast<double>(lag_ewma_.count())));
+  const double lag_us = kLagEwmaAlpha * static_cast<double>(queued.count()) +
+                        (1.0 - kLagEwmaAlpha) * static_cast<double>(lag_ewma_.count());
+  lag_ewma_ = Duration(static_cast<int64_t>(lag_us));
   lag_gauge_.Set(lag_ewma_.count());
   processed_[idx].Increment();
   queued_us_.Record(static_cast<uint64_t>(std::max<int64_t>(queued.count(), 0)));

@@ -54,11 +54,6 @@ struct AdmissionConfig {
   // Per-class queue bounds. Class 0 is sized to absorb every keepalive,
   // advertisement and routing update a full refresh period can produce.
   std::array<size_t, 3> queue_capacity = {4096, 1024, 1024};
-  // Load-signal thresholds; class 2 trips first by a wide margin.
-  Duration shed_class2_lag = Milliseconds(50);
-  Duration shed_class1_lag = Milliseconds(250);
-  // Smoothing factor for the drain-lag EWMA.
-  double lag_ewma_alpha = 0.2;
 };
 
 // Returns the priority class (0 highest) of a decoded envelope.

@@ -8,6 +8,13 @@
 
 namespace ins {
 
+namespace {
+constexpr size_t kCacheCapacity = 128;
+// Refresh period and soft-state lifetime of the netmon self-advertisement.
+constexpr Duration kNetmonRefresh = Seconds(15);
+constexpr uint32_t kNetmonLifetimeS = 45;
+}  // namespace
+
 Inr::Inr(Executor* executor, Transport* transport, InrConfig config)
     : executor_(executor),
       transport_(transport),
@@ -43,7 +50,7 @@ Inr::Inr(Executor* executor, Transport* transport, InrConfig config)
       config_.replication.enabled ? config_.replication.journal_capacity : 0;
   vspaces_ = std::make_unique<VspaceManager>(executor_, send, config_.dsr, &metrics_,
                                              journal_capacity);
-  cache_ = std::make_unique<PacketCache>(config_.cache_capacity);
+  cache_ = std::make_unique<PacketCache>(kCacheCapacity);
   discovery_ = std::make_unique<NameDiscovery>(executor_, send, address(), vspaces_.get(),
                                                topology_.get(), &metrics_,
                                                config_.discovery);
@@ -245,8 +252,6 @@ void Inr::DispatchEnvelope(const NodeAddress& src, const Envelope& env, Duration
     discovery_->HandleNameUpdate(src, *update);
   } else if (auto* disc = std::get_if<DiscoveryRequest>(&env.body)) {
     HandleDiscoveryRequest(src, *disc);
-  } else if (auto* mreq = std::get_if<MetricsRequest>(&env.body)) {
-    HandleMetricsRequest(src, *mreq);
   } else if (auto* dmreq = std::get_if<MetricsDeltaRequest>(&env.body)) {
     HandleMetricsDeltaRequest(src, *dmreq);
   } else if (auto* ping = std::get_if<Ping>(&env.body)) {
@@ -414,19 +419,11 @@ void Inr::RefreshInventoryGauges() {
   metrics_.SetGauge("inr.flight.overwritten", static_cast<int64_t>(flight_.overwritten()));
 }
 
-void Inr::HandleMetricsRequest(const NodeAddress& src, const MetricsRequest& req) {
-  metrics_.Increment("inr.metrics_requests");
-  // Inventory gauges are poll-time state, not per-event accounting: refresh
-  // them only when a snapshot is about to leave the node.
-  RefreshInventoryGauges();
-  const NodeAddress reply_to = req.reply_to.IsValid() ? req.reply_to : src;
-  transport_->Send(reply_to,
-                   Encode(BuildMetricsResponse(req.request_id, address(), metrics_.Snapshot())));
-}
-
 void Inr::HandleMetricsDeltaRequest(const NodeAddress& src, const MetricsDeltaRequest& req) {
   metrics_.Increment("inr.metrics_requests");
   metrics_.Increment("timeseries.samples");
+  // Inventory gauges are poll-time state, not per-event accounting: refresh
+  // them only when a snapshot is about to leave the node.
   RefreshInventoryGauges();
   const NodeAddress reply_to = req.reply_to.IsValid() ? req.reply_to : src;
   // Each poll appends one sample; the sample's sequence number is the
@@ -459,10 +456,10 @@ void Inr::AdvertiseNetmon() {
   // refresh one record instead of accreting new ones.
   ad.announcer = AnnouncerId{address().ip, 0, 0xADu};
   ad.endpoint.address = address();
-  ad.lifetime_s = config_.netmon.lifetime_s;
+  ad.lifetime_s = kNetmonLifetimeS;
   ad.version = ++netmon_version_;
   discovery_->HandleAdvertisement(address(), ad);
-  netmon_task_ = executor_->ScheduleAfter(config_.netmon.refresh, [this] {
+  netmon_task_ = executor_->ScheduleAfter(kNetmonRefresh, [this] {
     netmon_task_ = kInvalidTaskId;
     if (running_) {
       AdvertiseNetmon();

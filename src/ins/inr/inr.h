@@ -41,13 +41,11 @@ namespace ins {
 // resolver periodically advertises [service=netmon][node=<addr>] into its own
 // name tree. The advertisement propagates like any other name, so the netmon
 // app discovers every resolver from a single DiscoveryRequest and polls each
-// one with MetricsRequest. Off by default: the self-advertisement changes
-// record counts, which seed tests and benches assert on.
+// one with MetricsDeltaRequest. Off by default: the self-advertisement
+// changes record counts, which seed tests and benches assert on.
 struct NetmonConfig {
   bool advertise = false;
   std::string vspace;  // "" = the default space
-  Duration refresh = Seconds(15);
-  uint32_t lifetime_s = 45;  // soft-state lifetime of the advertisement
 };
 
 struct InrConfig {
@@ -65,7 +63,6 @@ struct InrConfig {
   // default (seed behaviour: periodic full re-announcement only). Enabling it
   // turns on store journaling and suppresses the periodic refresh storm.
   ReplicationConfig replication;
-  size_t cache_capacity = 128;
   // Capacity of the per-node trace-event ring (entries, not bytes). Sampled
   // packets append events here; the harness merges rings into journeys.
   size_t trace_ring_capacity = 1024;
@@ -130,7 +127,6 @@ class Inr {
   // against data packets' deadline budgets.
   void DispatchEnvelope(const NodeAddress& src, const Envelope& env, Duration queued);
   void HandleDiscoveryRequest(const NodeAddress& src, const DiscoveryRequest& req);
-  void HandleMetricsRequest(const NodeAddress& src, const MetricsRequest& req);
   void HandleMetricsDeltaRequest(const NodeAddress& src, const MetricsDeltaRequest& req);
   // Updates the inventory gauges (inr.names / inr.neighbors / inr.vspaces,
   // and the trace-ring and flight-recorder overwrite counts) that only need

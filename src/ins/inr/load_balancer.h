@@ -110,9 +110,9 @@ class LoadBalancer {
   uint64_t delegations_ = 0;
 };
 
-// Candidate-node agent: listens on the candidate address, answers pings (so
-// relaxation probes see it), registers with the DSR as a candidate, and
-// invokes `factory` when asked to spawn a resolver.
+// Candidate-node agent: listens on the candidate address, answers pings,
+// registers with the DSR as a candidate, and invokes `factory` when asked to
+// spawn a resolver.
 class SpawnListener {
  public:
   using Factory = std::function<void(const SpawnRequest& request)>;

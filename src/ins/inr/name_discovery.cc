@@ -8,6 +8,18 @@
 
 namespace ins {
 
+namespace {
+// Default soft-state lifetime when an advertisement does not specify one:
+// three refresh intervals, tolerating two lost refreshes.
+constexpr uint32_t kDefaultLifetimeS = 45;
+constexpr Duration kExpirySweepInterval = Seconds(5);
+// Entries per NameUpdate datagram; larger batches are chunked.
+constexpr size_t kMaxEntriesPerUpdate = 64;
+// Metric changes smaller than this fraction count as refreshes, not
+// changes, damping triggered-update storms from RTT jitter.
+constexpr double kMetricChangeThreshold = 0.1;
+}  // namespace
+
 NameDiscovery::NameDiscovery(Executor* executor, SendFn send, NodeAddress self,
                              VspaceManager* vspaces, TopologyManager* topology,
                              MetricsRegistry* metrics, DiscoveryConfig config)
@@ -24,8 +36,7 @@ NameDiscovery::~NameDiscovery() { Stop(); }
 void NameDiscovery::Start() {
   periodic_task_ =
       executor_->ScheduleAfter(config_.update_interval, [this] { PeriodicTick(); });
-  expiry_task_ =
-      executor_->ScheduleAfter(config_.expiry_sweep_interval, [this] { ExpiryTick(); });
+  expiry_task_ = executor_->ScheduleAfter(kExpirySweepInterval, [this] { ExpiryTick(); });
 }
 
 void NameDiscovery::Stop() {
@@ -63,7 +74,7 @@ void NameDiscovery::HandleAdvertisement(const NodeAddress& src, const Advertisem
     return;
   }
 
-  uint32_t lifetime = ad.lifetime_s != 0 ? ad.lifetime_s : config_.default_lifetime_s;
+  uint32_t lifetime = ad.lifetime_s != 0 ? ad.lifetime_s : kDefaultLifetimeS;
 
   NameRecord rec;
   rec.announcer = ad.announcer;
@@ -205,7 +216,7 @@ std::optional<NameUpdateEntry> NameDiscovery::ApplyRemoteEntry(
       if (same_next_hop) {
         // Damp RTT jitter: small metric drift is a refresh, not a change.
         double drift = std::abs(new_metric - old_metric);
-        if (drift < config_.metric_change_threshold * std::max(old_metric, 1.0)) {
+        if (drift < kMetricChangeThreshold * std::max(old_metric, 1.0)) {
           vspaces_->store().RefreshExpiry(vspace, entry.announcer,
                                           executor_->Now() + Seconds(entry.lifetime_s));
           return std::nullopt;
@@ -270,11 +281,11 @@ void NameDiscovery::PropagateTriggered(const std::string& vspace,
 
 void NameDiscovery::SendUpdates(const NodeAddress& peer, const std::string& vspace,
                                 std::vector<NameUpdateEntry> entries, bool triggered) {
-  for (size_t i = 0; i < entries.size(); i += config_.max_entries_per_update) {
+  for (size_t i = 0; i < entries.size(); i += kMaxEntriesPerUpdate) {
     NameUpdate u;
     u.vspace = vspace;
     u.triggered = triggered;
-    size_t end = std::min(entries.size(), i + config_.max_entries_per_update);
+    size_t end = std::min(entries.size(), i + kMaxEntriesPerUpdate);
     u.entries.assign(std::make_move_iterator(entries.begin() + static_cast<long>(i)),
                      std::make_move_iterator(entries.begin() + static_cast<long>(end)));
     metrics_->Increment("discovery.update_entries_sent", u.entries.size());
@@ -336,8 +347,7 @@ void NameDiscovery::ExpiryTick() {
                       << id.ToString() << " in '" << vspace << "'";
     }
   }
-  expiry_task_ =
-      executor_->ScheduleAfter(config_.expiry_sweep_interval, [this] { ExpiryTick(); });
+  expiry_task_ = executor_->ScheduleAfter(kExpirySweepInterval, [this] { ExpiryTick(); });
 }
 
 void NameDiscovery::PurgeRoutesVia(const NodeAddress& next_hop,

@@ -32,16 +32,7 @@ namespace ins {
 struct DiscoveryConfig {
   // The paper's experiments use a 15-second refresh interval (Figure 8).
   Duration update_interval = Seconds(15);
-  // Default soft-state lifetime when an advertisement does not specify one:
-  // three refresh intervals, tolerating two lost refreshes.
-  uint32_t default_lifetime_s = 45;
-  Duration expiry_sweep_interval = Seconds(5);
   bool triggered_updates = true;
-  // Entries per NameUpdate datagram; larger batches are chunked.
-  size_t max_entries_per_update = 64;
-  // Metric changes smaller than this fraction count as refreshes, not
-  // changes, damping triggered-update storms from RTT jitter.
-  double metric_change_threshold = 0.1;
 };
 
 class NameDiscovery {

@@ -8,6 +8,21 @@
 
 namespace ins {
 
+namespace {
+// Transfer state machine: a request unanswered past this deadline is retried,
+// up to ReplicationConfig::max_transfer_retries, then aborted.
+constexpr Duration kTransferTimeout = Seconds(2);
+// Entries per JournalDeltaResponse chunk (mirrors name discovery's
+// per-NameUpdate datagram bound).
+constexpr size_t kMaxEntriesPerResponse = 64;
+// Lease granted to replicated records by a current digest. Must exceed the
+// overlay's failure-detection window (missed keepalives * keepalive
+// interval): any partition long enough to expire replicas also kills the
+// edge, whose repair does a full resynchronization — so silent divergence
+// ("serials equal but my replica lapsed") cannot happen.
+constexpr uint32_t kReplicaLifetimeS = 45;
+}  // namespace
+
 ReplicationAgent::ReplicationAgent(Executor* executor, SendFn send, NodeAddress self,
                                    NodeAddress dsr, VspaceManager* vspaces,
                                    TopologyManager* topology, NameDiscovery* discovery,
@@ -30,7 +45,7 @@ void ReplicationAgent::Start() {
   }
   running_ = true;
   digest_task_ = executor_->ScheduleAfter(config_.digest_interval, [this] { DigestTick(); });
-  retry_task_ = executor_->ScheduleAfter(config_.transfer_timeout, [this] { RetryTick(); });
+  retry_task_ = executor_->ScheduleAfter(kTransferTimeout, [this] { RetryTick(); });
 }
 
 void ReplicationAgent::Stop() {
@@ -263,11 +278,11 @@ void ReplicationAgent::RetryTick() {
     ++ps.retries;
     ps.next_seq = 0;
     ps.snapshot_seen.clear();
-    ps.deadline = now + config_.transfer_timeout;
+    ps.deadline = now + kTransferTimeout;
     metrics_->Increment("replication.transfer_retries");
     SendRequest(key.first, key.second, ps);
   }
-  retry_task_ = executor_->ScheduleAfter(config_.transfer_timeout, [this] { RetryTick(); });
+  retry_task_ = executor_->ScheduleAfter(kTransferTimeout, [this] { RetryTick(); });
 }
 
 void ReplicationAgent::AbortTransfer(PeerSpace& ps) {
@@ -374,7 +389,7 @@ void ReplicationAgent::StartTransfer(const NodeAddress& peer, const std::string&
   ps.retries = 0;
   ps.snapshot_seen.clear();
   ps.behind_since = executor_->Now();
-  ps.deadline = executor_->Now() + config_.transfer_timeout;
+  ps.deadline = executor_->Now() + kTransferTimeout;
   SendRequest(peer, vspace, ps);
 }
 
@@ -475,7 +490,6 @@ void ReplicationAgent::HandleDeltaRequest(const NodeAddress& src,
 void ReplicationAgent::SendChunked(const NodeAddress& peer, const std::string& vspace,
                                    bool snapshot, uint64_t to_serial,
                                    std::vector<JournalDeltaResponse::Entry> entries) {
-  const size_t per_chunk = std::max<size_t>(1, config_.max_entries_per_response);
   uint32_t seq = 0;
   size_t i = 0;
   do {
@@ -485,7 +499,7 @@ void ReplicationAgent::SendChunked(const NodeAddress& peer, const std::string& v
     resp.snapshot = snapshot;
     resp.to_serial = to_serial;
     resp.seq = seq++;
-    const size_t end = std::min(entries.size(), i + per_chunk);
+    const size_t end = std::min(entries.size(), i + kMaxEntriesPerResponse);
     resp.entries.assign(std::make_move_iterator(entries.begin() + static_cast<long>(i)),
                         std::make_move_iterator(entries.begin() + static_cast<long>(end)));
     i = end;
@@ -569,7 +583,7 @@ void ReplicationAgent::HandleDeltaResponse(const NodeAddress& src,
   }
   ps.next_seq++;
   if (!resp.last) {
-    ps.deadline = executor_->Now() + config_.transfer_timeout;  // progress
+    ps.deadline = executor_->Now() + kTransferTimeout;  // progress
     return;
   }
 
@@ -608,7 +622,7 @@ void ReplicationAgent::RefreshReplicasVia(const NodeAddress& peer, const std::st
       }
     }
   }
-  const TimePoint lease = executor_->Now() + Seconds(config_.replica_lifetime_s);
+  const TimePoint lease = executor_->Now() + Seconds(kReplicaLifetimeS);
   for (const AnnouncerId& id : via) {
     store.RefreshExpiry(vspace, id, lease);
   }

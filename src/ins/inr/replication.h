@@ -58,20 +58,9 @@ struct ReplicationConfig {
   // Anti-entropy cadence; aligned with the overlay keepalive interval so a
   // healed partition converges within one keepalive round.
   Duration digest_interval = Seconds(5);
-  // Transfer state machine: a request unanswered past this deadline is
-  // retried, up to max_transfer_retries, then aborted (the next digest round
-  // starts over).
-  Duration transfer_timeout = Seconds(2);
+  // A transfer request unanswered past its deadline is retried, up to this
+  // many times, then aborted (the next digest round starts over).
   int max_transfer_retries = 3;
-  // Entries per JournalDeltaResponse chunk (mirrors DiscoveryConfig's
-  // max_entries_per_update datagram bound).
-  size_t max_entries_per_response = 64;
-  // Lease granted to replicated records by a current digest. Must exceed the
-  // overlay's failure-detection window (missed_keepalives * keepalive
-  // interval): any partition long enough to expire replicas also kills the
-  // edge, whose repair does a full resynchronization — so silent divergence
-  // ("serials equal but my replica lapsed") cannot happen.
-  uint32_t replica_lifetime_s = 45;
 
   // --- Replica sets (vspace availability) ------------------------------------
   // Target replica-set size per routed vspace. 1 (the seed default) keeps the
@@ -183,7 +172,7 @@ class ReplicationAgent {
   void SendChunked(const NodeAddress& peer, const std::string& vspace, bool snapshot,
                    uint64_t to_serial, std::vector<JournalDeltaResponse::Entry> entries);
   // Re-arms the soft-state expiry of every record routed via `peer` in
-  // `vspace` to now + replica_lifetime_s (the digest liveness lease).
+  // `vspace` to now + the replica lifetime (the digest liveness lease).
   void RefreshReplicasVia(const NodeAddress& peer, const std::string& vspace);
   // Snapshot replace-all: removes records routed via `peer` whose announcer
   // the snapshot did not mention.

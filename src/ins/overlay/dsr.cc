@@ -6,11 +6,18 @@
 
 namespace ins {
 
-Dsr::Dsr(Executor* executor, Transport* transport, DsrConfig config)
-    : executor_(executor), transport_(transport), config_(config) {
+namespace {
+constexpr Duration kExpirySweepInterval = Seconds(5);
+// How long a DsrDeadInrReport keeps a member out of vspace-resolution
+// answers. Suspicion is weaker than expiry: the registration stays, and a
+// refresh from the suspect (proof of life) clears the mark immediately.
+constexpr Duration kDeadSuspectTtl = Seconds(30);
+}  // namespace
+
+Dsr::Dsr(Executor* executor, Transport* transport) : executor_(executor), transport_(transport) {
   transport_->SetReceiveHandler(
       [this](const NodeAddress& src, const Bytes& data) { OnMessage(src, data); });
-  sweep_task_ = executor_->ScheduleAfter(config_.expiry_sweep_interval, [this] { SweepExpired(); });
+  sweep_task_ = executor_->ScheduleAfter(kExpirySweepInterval, [this] { SweepExpired(); });
 }
 
 Dsr::~Dsr() {
@@ -149,7 +156,7 @@ void Dsr::HandleDeadReport(const DsrDeadInrReport& report) {
     metrics_.Increment("dsr.dead_reports_ignored");
     return;
   }
-  suspects_[report.dead] = executor_->Now() + config_.dead_suspect_ttl;
+  suspects_[report.dead] = executor_->Now() + kDeadSuspectTtl;
   metrics_.Increment("dsr.dead_reports");
   INS_LOG(kDebug) << "DSR: " << report.dead.ToString() << " reported dead by "
                   << report.reporter.ToString();
@@ -262,7 +269,7 @@ void Dsr::SweepExpired() {
       ++it;
     }
   }
-  sweep_task_ = executor_->ScheduleAfter(config_.expiry_sweep_interval, [this] { SweepExpired(); });
+  sweep_task_ = executor_->ScheduleAfter(kExpirySweepInterval, [this] { SweepExpired(); });
 }
 
 }  // namespace ins

@@ -23,18 +23,10 @@
 
 namespace ins {
 
-struct DsrConfig {
-  Duration expiry_sweep_interval = Seconds(5);
-  // How long a DsrDeadInrReport keeps a member out of vspace-resolution
-  // answers. Suspicion is weaker than expiry: the registration stays, and a
-  // refresh from the suspect (proof of life) clears the mark immediately.
-  Duration dead_suspect_ttl = Seconds(30);
-};
-
 class Dsr {
  public:
   // Binds to `transport` and serves requests until destroyed.
-  Dsr(Executor* executor, Transport* transport, DsrConfig config = {});
+  Dsr(Executor* executor, Transport* transport);
   ~Dsr();
 
   Dsr(const Dsr&) = delete;
@@ -74,7 +66,6 @@ class Dsr {
 
   Executor* executor_;
   Transport* transport_;
-  DsrConfig config_;
   uint64_t next_join_order_ = 1;
   std::map<NodeAddress, Registration> active_;
   std::map<NodeAddress, TimePoint> candidates_;  // expiry (TimePoint::max for static)

@@ -1,6 +1,5 @@
 #include "ins/overlay/topology.h"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 
@@ -9,6 +8,15 @@
 namespace ins {
 
 namespace {
+constexpr Duration kPingTimeout = Milliseconds(500);
+constexpr int kMissedKeepalivesForFailure = 3;
+// DSR refreshes are shaved by up to this fraction so re-registrations from
+// many resolvers (e.g. after a DSR restart) do not arrive in lockstep.
+constexpr double kRegisterJitter = 0.25;
+// How often a root (joined, no parent) re-checks the DSR for an
+// earlier-joined resolver to merge under (partition split healing).
+constexpr Duration kRootWatchInterval = Seconds(20);
+
 // Per-node deterministic seed: same cluster seed + same address = same
 // jitter sequence, so simulated runs stay bit-reproducible.
 uint64_t JitterSeed(uint64_t salt, const NodeAddress& self) {
@@ -32,7 +40,6 @@ TopologyManager::TopologyManager(Executor* executor, PingAgent* ping_agent, Send
 TopologyManager::~TopologyManager() {
   executor_->Cancel(register_task_);
   executor_->Cancel(keepalive_task_);
-  executor_->Cancel(relaxation_task_);
   executor_->Cancel(join_retry_task_);
 }
 
@@ -45,10 +52,6 @@ void TopologyManager::Start(std::vector<std::string> vspaces) {
   keepalive_task_ =
       executor_->ScheduleAfter(config_.keepalive_interval, [this] { KeepaliveTick(); });
   ScheduleWatchdog(join_backoff_.Next());
-  if (config_.enable_relaxation) {
-    relaxation_task_ =
-        executor_->ScheduleAfter(config_.relaxation_interval, [this] { RelaxationTick(); });
-  }
 }
 
 void TopologyManager::Stop() {
@@ -62,9 +65,8 @@ void TopologyManager::Stop() {
   requested_parent_ = kInvalidAddress;
   executor_->Cancel(register_task_);
   executor_->Cancel(keepalive_task_);
-  executor_->Cancel(relaxation_task_);
   executor_->Cancel(join_retry_task_);
-  register_task_ = keepalive_task_ = relaxation_task_ = join_retry_task_ = kInvalidTaskId;
+  register_task_ = keepalive_task_ = join_retry_task_ = kInvalidTaskId;
   std::vector<NodeAddress> peers = NeighborAddresses();
   for (const NodeAddress& p : peers) {
     RemoveNeighbor(p, /*notify_peer=*/true);
@@ -79,9 +81,8 @@ void TopologyManager::CrashStop() {
   requested_parent_ = kInvalidAddress;
   executor_->Cancel(register_task_);
   executor_->Cancel(keepalive_task_);
-  executor_->Cancel(relaxation_task_);
   executor_->Cancel(join_retry_task_);
-  register_task_ = keepalive_task_ = relaxation_task_ = join_retry_task_ = kInvalidTaskId;
+  register_task_ = keepalive_task_ = join_retry_task_ = kInvalidTaskId;
   neighbors_.clear();
 }
 
@@ -105,7 +106,7 @@ void TopologyManager::RegisterWithDsr() {
   // lifetime still covers it): decorrelates re-registration bursts after a
   // partition heal or a DSR restart.
   register_task_ = executor_->ScheduleAfter(
-      ApplyJitter(config_.dsr_refresh_interval, config_.register_jitter, rng_),
+      ApplyJitter(config_.dsr_refresh_interval, kRegisterJitter, rng_),
       [this] { RegisterWithDsr(); });
 }
 
@@ -161,21 +162,14 @@ void TopologyManager::NoteTreeEdgeTraffic(const NodeAddress& src) {
 
 void TopologyManager::HandleDsrListResponse(const DsrListResponse& resp) {
   NoteSelfOrder(resp);
-  if (resp.request_id == join_request_id_ && join_request_id_ != 0) {
-    join_request_id_ = 0;
-    last_active_list_ = resp.active_inrs;
-    if (!joined_ || !parent().has_value()) {
-      // Joining, re-joining after parent loss, or a root checking whether a
-      // healed partition exposed an earlier tree to merge under.
-      StartJoinProbe(resp);
-    }
+  if (resp.request_id != join_request_id_ || join_request_id_ == 0) {
     return;
   }
-  if (resp.request_id == relaxation_request_id_) {
-    relaxation_request_id_ = 0;
-    last_active_list_ = resp.active_inrs;
-    HandleRelaxationList(resp);
-    return;
+  join_request_id_ = 0;
+  if (!joined_ || !parent().has_value()) {
+    // Joining, re-joining after parent loss, or a root checking whether a
+    // healed partition exposed an earlier tree to merge under.
+    StartJoinProbe(resp);
   }
 }
 
@@ -222,7 +216,7 @@ void TopologyManager::StartJoinProbe(const DsrListResponse& resp) {
   auto probe = std::make_shared<Probe>();
   probe->outstanding = candidates.size();
   for (const NodeAddress& target : candidates) {
-    ping_agent_->SendPing(target, config_.ping_timeout,
+    ping_agent_->SendPing(target, kPingTimeout,
                           [this, probe, target](std::optional<Duration> rtt) {
                             if (rtt.has_value() && ToMillis(*rtt) < probe->best_ms) {
                               probe->best_ms = ToMillis(*rtt);
@@ -262,7 +256,7 @@ void TopologyManager::EnsureJoinedTick() {
     // Root watch: a healed partition (or DSR restart) may have exposed a
     // resolver that orders before us; poll and merge under it if so.
     RequestActiveList();
-    ScheduleWatchdog(ApplyJitter(config_.root_watch_interval, 0.25, rng_));
+    ScheduleWatchdog(ApplyJitter(kRootWatchInterval, 0.25, rng_));
     return;
   }
   join_backoff_.Reset();
@@ -423,7 +417,7 @@ void TopologyManager::DissolveNeighborsExcept(const NodeAddress& keep) {
 
 void TopologyManager::KeepaliveTick() {
   TimePoint now = executor_->Now();
-  Duration dead_after = config_.keepalive_interval * config_.missed_keepalives_for_failure;
+  Duration dead_after = config_.keepalive_interval * kMissedKeepalivesForFailure;
 
   std::vector<NodeAddress> dead;
   for (auto& [addr, n] : neighbors_) {
@@ -447,7 +441,7 @@ void TopologyManager::KeepaliveTick() {
     // answer our pings — it replies PeerClose and we re-join cleanly.
     send_(addr, Envelope{MessageBody(PeerKeepalive{self_})});
     NodeAddress target = addr;
-    ping_agent_->SendPing(target, config_.ping_timeout,
+    ping_agent_->SendPing(target, kPingTimeout,
                           [this, target](std::optional<Duration> rtt) {
                             if (!rtt.has_value()) {
                               return;
@@ -461,87 +455,6 @@ void TopologyManager::KeepaliveTick() {
 
   keepalive_task_ =
       executor_->ScheduleAfter(config_.keepalive_interval, [this] { KeepaliveTick(); });
-}
-
-void TopologyManager::RelaxationTick() {
-  if (joined_ && parent().has_value()) {
-    relaxation_request_id_ = next_request_id_++;
-    DsrListRequest req;
-    req.request_id = relaxation_request_id_;
-    send_(config_.dsr, Envelope{MessageBody(req)});
-  }
-  relaxation_task_ =
-      executor_->ScheduleAfter(config_.relaxation_interval, [this] { RelaxationTick(); });
-}
-
-void TopologyManager::HandleRelaxationList(const DsrListResponse& resp) {
-  std::optional<NodeAddress> current_parent = parent();
-  if (!current_parent.has_value()) {
-    return;
-  }
-  if (std::find(resp.active_inrs.begin(), resp.active_inrs.end(), self_) ==
-      resp.active_inrs.end()) {
-    // Our registration lapsed: the list carries no position for us, so the
-    // "joined before us" rule cannot be evaluated. Skip this round.
-    return;
-  }
-  // Only peers that joined before us are cycle-safe parent candidates.
-  std::vector<NodeAddress> candidates;
-  for (const NodeAddress& a : resp.active_inrs) {
-    if (a == self_) {
-      break;
-    }
-    if (a != *current_parent) {
-      candidates.push_back(a);
-    }
-  }
-  if (candidates.empty()) {
-    return;
-  }
-
-  struct Probe {
-    size_t outstanding;
-    double best_ms = std::numeric_limits<double>::infinity();
-    NodeAddress best;
-  };
-  auto probe = std::make_shared<Probe>();
-  probe->outstanding = candidates.size() + 1;  // +1 for re-probing the parent
-
-  auto finish = [this, probe, parent_addr = *current_parent](double parent_ms) {
-    if (!probe->best.IsValid()) {
-      return;
-    }
-    if (probe->best_ms < parent_ms * config_.relaxation_improvement) {
-      INS_LOG(kDebug) << self_.ToString() << ": relaxation switches parent "
-                      << parent_addr.ToString() << " -> " << probe->best.ToString();
-      metrics_->Increment("topology.relaxation_switches");
-      RemoveNeighbor(parent_addr, /*notify_peer=*/true);
-      AdoptParent(probe->best);
-    }
-  };
-
-  auto parent_ms = std::make_shared<double>(std::numeric_limits<double>::infinity());
-  ping_agent_->SendPing(*current_parent, config_.ping_timeout,
-                        [probe, parent_ms, finish](std::optional<Duration> rtt) {
-                          if (rtt.has_value()) {
-                            *parent_ms = ToMillis(*rtt);
-                          }
-                          if (--probe->outstanding == 0) {
-                            finish(*parent_ms);
-                          }
-                        });
-  for (const NodeAddress& target : candidates) {
-    ping_agent_->SendPing(target, config_.ping_timeout,
-                          [probe, target, parent_ms, finish](std::optional<Duration> rtt) {
-                            if (rtt.has_value() && ToMillis(*rtt) < probe->best_ms) {
-                              probe->best_ms = ToMillis(*rtt);
-                              probe->best = target;
-                            }
-                            if (--probe->outstanding == 0) {
-                              finish(*parent_ms);
-                            }
-                          });
-  }
 }
 
 std::vector<NodeAddress> TopologyManager::NeighborAddresses() const {

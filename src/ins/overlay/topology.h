@@ -25,12 +25,6 @@
 // edge it first closes its existing edges, because ordering relationships
 // those edges were built on may be stale (a former descendant may now order
 // earlier, and adopting it over a fresh edge would close a cycle).
-//
-// Relaxation (the paper's announced future-work improvement, implemented
-// here as an option): nodes periodically re-ping the active set and switch
-// their parent link to a measurably better peer. To keep the topology a tree
-// (no cycles), a node only ever adopts a parent that joined *before* it in
-// the DSR's linear order.
 
 #ifndef INS_OVERLAY_TOPOLOGY_H_
 #define INS_OVERLAY_TOPOLOGY_H_
@@ -54,26 +48,13 @@ namespace ins {
 
 struct TopologyConfig {
   NodeAddress dsr;
-  Duration ping_timeout = Milliseconds(500);
   Duration keepalive_interval = Seconds(5);
-  int missed_keepalives_for_failure = 3;
   Duration dsr_refresh_interval = Seconds(20);
   uint32_t dsr_lifetime_s = 60;
-  // DSR refreshes are shaved by up to this fraction so re-registrations from
-  // many resolvers (e.g. after a DSR restart) do not arrive in lockstep.
-  double register_jitter = 0.25;
   // Join / re-join retry pacing while not joined.
   BackoffConfig join_backoff{Milliseconds(1000), Seconds(30), 2.0, 0.3};
-  // How often a root (joined, no parent) re-checks the DSR for an
-  // earlier-joined resolver to merge under (partition split healing).
-  Duration root_watch_interval = Seconds(20);
   // Salt mixed with the node address to seed per-node deterministic jitter.
   uint64_t rng_salt = 0;
-  bool enable_relaxation = false;
-  Duration relaxation_interval = Seconds(30);
-  // Relaxation switches parent only when the candidate is better by this
-  // factor (hysteresis against flapping).
-  double relaxation_improvement = 0.8;
 };
 
 class TopologyManager {
@@ -159,8 +140,6 @@ class TopologyManager {
   // contradict the current order.
   void DissolveNeighborsExcept(const NodeAddress& keep);
   void KeepaliveTick();
-  void RelaxationTick();
-  void HandleRelaxationList(const DsrListResponse& resp);
 
   Executor* executor_;
   PingAgent* ping_agent_;
@@ -178,14 +157,11 @@ class TopologyManager {
   uint64_t self_join_order_ = 0;  // last order observed for self (0 = never seen)
   bool order_lapsed_ = false;     // self order changed: old edges are suspect
   uint64_t next_request_id_ = 1;
-  uint64_t join_request_id_ = 0;        // outstanding join/root-watch list request
-  uint64_t relaxation_request_id_ = 0;  // outstanding relaxation list request
+  uint64_t join_request_id_ = 0;  // outstanding join/root-watch list request
   NodeAddress requested_parent_;  // last peer we sent a PeerRequest to
   std::map<NodeAddress, Neighbor> neighbors_;
-  std::vector<NodeAddress> last_active_list_;  // DSR order, for relaxation
   TaskId register_task_ = kInvalidTaskId;
   TaskId keepalive_task_ = kInvalidTaskId;
-  TaskId relaxation_task_ = kInvalidTaskId;
   TaskId join_retry_task_ = kInvalidTaskId;
 };
 

@@ -45,11 +45,11 @@ void Fields(Io& io, JournalDeltaResponse::Entry& e) {
      e.version);
 }
 template <class Io>
-void Fields(Io& io, MetricsResponse::CounterItem& c) { io(c.name, c.value); }
+void Fields(Io& io, MetricsDeltaResponse::CounterItem& c) { io(c.name, c.value); }
 template <class Io>
-void Fields(Io& io, MetricsResponse::GaugeItem& g) { io(g.name, g.value); }
+void Fields(Io& io, MetricsDeltaResponse::GaugeItem& g) { io(g.name, g.value); }
 template <class Io>
-void Fields(Io& io, MetricsResponse::HistogramItem& h) {
+void Fields(Io& io, MetricsDeltaResponse::HistogramItem& h) {
   io(h.name, h.sum, h.min, h.max, h.buckets);
 }
 
@@ -103,12 +103,10 @@ template <class Io>
 void Fields(Io& io, DsrAssignmentsResponse& d) { io(d.request_id, d.vspaces); }
 template <class Io>
 void Fields(Io& io, PeerKeepalive& p) { io(p.from); }
-template <class Io>
-void Fields(Io& io, MetricsRequest& m) { io(m.request_id, m.reply_to); }
-template <class Io>
-void Fields(Io& io, MetricsResponse& m) {
-  io(m.request_id, m.inr, m.counters, m.gauges, m.histograms);
-}
+// A retired type has no fields: it cannot be constructed, so it is never
+// encoded, and DecodeMessage rejects its type before reading a body.
+template <class Io, uint8_t N>
+void Fields(Io&, Retired<N>&) {}
 template <class Io>
 void Fields(Io& io, JournalDigest& d) { io(d.from, d.items); }
 template <class Io>
@@ -277,15 +275,31 @@ class Reader {
 
 // --- Envelope dispatch ---------------------------------------------------------
 
+using Decoder = void (*)(Reader&, MessageBody&);
+
 template <class T>
 void DecodeInto(Reader& in, MessageBody& body) { in(body.emplace<T>()); }
 
-template <size_t... I>
-constexpr auto MakeDecoders(std::index_sequence<I...>) {
-  return std::array{&DecodeInto<std::variant_alternative_t<I, MessageBody>>...};
+template <class T>
+constexpr bool kIsRetired = false;
+template <uint8_t N>
+constexpr bool kIsRetired<Retired<N>> = true;
+
+template <class T>
+constexpr Decoder DecoderFor() {
+  if constexpr (kIsRetired<T>) {
+    return nullptr;
+  } else {
+    return &DecodeInto<T>;
+  }
 }
 
-// kDecoders[N - 1] decodes a body of wire type N.
+template <size_t... I>
+constexpr auto MakeDecoders(std::index_sequence<I...>) {
+  return std::array{DecoderFor<std::variant_alternative_t<I, MessageBody>>()...};
+}
+
+// kDecoders[N - 1] decodes a body of wire type N; null for a retired type.
 constexpr auto kDecoders =
     MakeDecoders(std::make_index_sequence<std::variant_size_v<MessageBody>>());
 
@@ -319,8 +333,8 @@ MessageType Envelope::type() const {
       kIsAlternative<kDsrAssignmentsRequest, DsrAssignmentsRequest> &&
       kIsAlternative<kDsrAssignmentsResponse, DsrAssignmentsResponse> &&
       kIsAlternative<kPeerKeepalive, PeerKeepalive> &&
-      kIsAlternative<kMetricsRequest, MetricsRequest> &&
-      kIsAlternative<kMetricsResponse, MetricsResponse> &&
+      kIsAlternative<MessageType{24}, Retired<24>> &&
+      kIsAlternative<MessageType{25}, Retired<25>> &&
       kIsAlternative<kJournalDigest, JournalDigest> &&
       kIsAlternative<kJournalDeltaRequest, JournalDeltaRequest> &&
       kIsAlternative<kJournalDeltaResponse, JournalDeltaResponse> &&
@@ -368,7 +382,7 @@ Result<Envelope> DecodeMessage(const Bytes& buffer) {
     return InvalidArgumentError("envelope checksum mismatch");
   }
   const uint8_t type = buffer[0];
-  if (type == 0 || type > kDecoders.size()) {
+  if (type == 0 || type > kDecoders.size() || kDecoders[type - 1] == nullptr) {
     return InvalidArgumentError("unknown message type " + std::to_string(type));
   }
   Reader in(buffer.data() + 1, body_len - 1);
@@ -384,37 +398,6 @@ Result<Envelope> DecodeMessage(const Bytes& buffer) {
 }
 
 // --- Metrics conversions -------------------------------------------------------
-
-namespace {
-
-// Writes the items of a MetricsResponse or MetricsDeltaResponse into `view`.
-template <class Response>
-void ApplyItems(const Response& resp, MetricsSnapshot& view) {
-  for (const MetricsResponse::CounterItem& c : resp.counters) {
-    view.counters[c.name] = c.value;
-  }
-  for (const MetricsResponse::GaugeItem& g : resp.gauges) {
-    view.gauges[g.name] = g.value;
-  }
-  for (const MetricsResponse::HistogramItem& h : resp.histograms) {
-    view.histograms[h.name] = Histogram::FromParts(h.sum, h.min, h.max, h.buckets);
-  }
-}
-
-}  // namespace
-
-MetricsResponse BuildMetricsResponse(uint64_t request_id, const NodeAddress& inr,
-                                     const MetricsSnapshot& snapshot) {
-  MetricsDeltaResponse full = BuildMetricsFull(request_id, inr, 0, snapshot);
-  return MetricsResponse{request_id, inr, std::move(full.counters), std::move(full.gauges),
-                         std::move(full.histograms)};
-}
-
-MetricsSnapshot SnapshotFromResponse(const MetricsResponse& resp) {
-  MetricsSnapshot snap;
-  ApplyItems(resp, snap);
-  return snap;
-}
 
 MetricsDeltaResponse BuildMetricsFull(uint64_t request_id, const NodeAddress& inr,
                                       uint64_t seq, const MetricsSnapshot& now) {
@@ -461,7 +444,15 @@ void ApplyMetricsDelta(const MetricsDeltaResponse& resp, MetricsSnapshot& view) 
   if (resp.full) {
     view = MetricsSnapshot{};
   }
-  ApplyItems(resp, view);
+  for (const MetricsDeltaResponse::CounterItem& c : resp.counters) {
+    view.counters[c.name] = c.value;
+  }
+  for (const MetricsDeltaResponse::GaugeItem& g : resp.gauges) {
+    view.gauges[g.name] = g.value;
+  }
+  for (const MetricsDeltaResponse::HistogramItem& h : resp.histograms) {
+    view.histograms[h.name] = Histogram::FromParts(h.sum, h.min, h.max, h.buckets);
+  }
 }
 
 }  // namespace ins

@@ -48,8 +48,8 @@ enum class MessageType : uint8_t {
   kDsrAssignmentsRequest = 21,   // restarted INR -> DSR: which vspaces did I route?
   kDsrAssignmentsResponse = 22,
   kPeerKeepalive = 23,  // INR -> neighbor INR: I still consider us peered
-  kMetricsRequest = 24,   // netmon -> INR: send me your metrics snapshot
-  kMetricsResponse = 25,  // INR -> netmon
+  // 24 and 25 are retired (the full-snapshot metrics poll): never sent, and
+  // rejected at decode like an unknown type.
   kJournalDigest = 26,        // INR -> neighbor INR: my per-vspace serials
   kJournalDeltaRequest = 27,  // behind INR -> neighbor: send me the changes
   kJournalDeltaResponse = 28,  // delta stream or full-snapshot chunk
@@ -335,21 +335,33 @@ struct DsrDeadInrReport {
 
 // --- Metrics polling (the paper's NetworkManagement service) -----------------
 
-// The netmon app asks a resolver for its metrics. Classified as control
-// traffic by admission (the monitor must see an overloaded resolver, not be
-// shed by it).
-struct MetricsRequest {
+// "Send me what changed since your sample `since_seq`." The resolver keeps a
+// ring of recent snapshots (common/timeseries.h), numbered by a sequence that
+// is monotonic for one resolver incarnation. since_seq = 0 (a client that has
+// no baseline yet) always gets a full snapshot. Classified as control traffic
+// by admission (the monitor must see an overloaded resolver, not be shed by
+// it).
+struct MetricsDeltaRequest {
   uint64_t request_id = 0;
   NodeAddress reply_to;  // invalid = answer to the datagram source
+  uint64_t since_seq = 0;
 };
 
-// A resolver's registry snapshot: counters, gauges, and histograms (as
-// sparse non-empty log2 buckets plus the moments needed to re-quantile on
-// the monitor side). DurationStat aggregates travel as histograms already —
-// RecordDuration feeds both views under one name.
-struct MetricsResponse {
+// The incremental answer. When `full` is false the item vectors carry ONLY
+// the slots whose values changed between retained sample since_seq and now —
+// the steady-state poll ships a handful of hot counters instead of the whole
+// catalogue. When since_seq fell off the resolver's ring, or belongs to a
+// previous incarnation (resolver restart: sequences start over from 1), the
+// resolver answers with `full` set and the complete snapshot; the client
+// replaces its view and re-bases on `seq`. Histograms travel as sparse
+// non-empty log2 buckets plus the moments needed to re-quantile on the
+// monitor side.
+struct MetricsDeltaResponse {
   uint64_t request_id = 0;
-  NodeAddress inr;  // who is answering
+  NodeAddress inr;         // who is answering
+  uint64_t seq = 0;        // sequence of the snapshot this response represents
+  uint64_t since_seq = 0;  // the baseline the delta was computed against (0 if full)
+  bool full = false;
 
   struct CounterItem {
     std::string name;
@@ -371,37 +383,15 @@ struct MetricsResponse {
   std::vector<HistogramItem> histograms;
 };
 
-// --- Incremental metrics polling ---------------------------------------------
-
-// "Send me what changed since your sample `since_seq`." The resolver keeps a
-// ring of recent snapshots (common/timeseries.h), numbered by a sequence that
-// is monotonic for one resolver incarnation. since_seq = 0 (a client that has
-// no baseline yet) always gets a full snapshot.
-struct MetricsDeltaRequest {
-  uint64_t request_id = 0;
-  NodeAddress reply_to;  // invalid = answer to the datagram source
-  uint64_t since_seq = 0;
-};
-
-// The incremental answer. When `full` is false the item vectors carry ONLY
-// the slots whose values changed between retained sample since_seq and now —
-// the steady-state poll ships a handful of hot counters instead of the whole
-// catalogue. When since_seq fell off the resolver's ring, or belongs to a
-// previous incarnation (resolver restart: sequences start over from 1), the
-// resolver answers with `full` set and the complete snapshot; the client
-// replaces its view and re-bases on `seq`.
-struct MetricsDeltaResponse {
-  uint64_t request_id = 0;
-  NodeAddress inr;
-  uint64_t seq = 0;        // sequence of the snapshot this response represents
-  uint64_t since_seq = 0;  // the baseline the delta was computed against (0 if full)
-  bool full = false;
-  std::vector<MetricsResponse::CounterItem> counters;
-  std::vector<MetricsResponse::GaugeItem> gauges;
-  std::vector<MetricsResponse::HistogramItem> histograms;
-};
-
 // --- Envelope ----------------------------------------------------------------
+
+// Holds the slot of a retired wire type N in MessageBody, so the surviving
+// types keep their numbers. It cannot be constructed, so nothing encodes it,
+// and DecodeMessage rejects type N like an unknown type.
+template <uint8_t N>
+struct Retired {
+  Retired() = delete;
+};
 
 using MessageBody =
     std::variant<Packet, Advertisement, NameUpdate, DiscoveryRequest, DiscoveryResponse,
@@ -409,7 +399,7 @@ using MessageBody =
                  DsrRegister, DsrListRequest, DsrListResponse, DsrVspaceRequest,
                  DsrVspaceResponse, DsrCandidatesRequest, DsrCandidatesResponse,
                  SpawnRequest, DelegateVspace, DsrAssignmentsRequest, DsrAssignmentsResponse,
-                 PeerKeepalive, MetricsRequest, MetricsResponse, JournalDigest,
+                 PeerKeepalive, Retired<24>, Retired<25>, JournalDigest,
                  JournalDeltaRequest, JournalDeltaResponse, DsrReplicaSetRequest,
                  DsrReplicaSetResponse, ReplicaInvite, DsrDeadInrReport,
                  MetricsDeltaRequest, MetricsDeltaResponse>;
@@ -428,7 +418,7 @@ uint32_t EnvelopeChecksum(const uint8_t* data, size_t len);
 
 Bytes EncodeMessage(const Envelope& e);
 // Rejects a datagram that is too short, fails its checksum, names an unknown
-// type, runs out inside its body, or has bytes left after its body.
+// or retired type, runs out inside its body, or has bytes left after its body.
 Result<Envelope> DecodeMessage(const Bytes& buffer);
 
 // Convenience: wraps a body and encodes in one step.
@@ -441,9 +431,6 @@ Bytes Encode(T body) {
 // resolver's metrics responder and the netmon poller. DurationStat timings
 // are not shipped separately: RecordDuration mirrors them into same-named
 // histograms, which carry strictly more information.
-MetricsResponse BuildMetricsResponse(uint64_t request_id, const NodeAddress& inr,
-                                     const MetricsSnapshot& snapshot);
-MetricsSnapshot SnapshotFromResponse(const MetricsResponse& resp);
 
 // Builds the incremental answer: only the slots of `now` that differ from
 // `baseline` (new names count as changed). Histograms compare on recorded

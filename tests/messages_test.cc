@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_window.h"
+#include "ins/common/rng.h"
 #include "ins/wire/messages.h"
 
 namespace ins {
@@ -332,6 +333,34 @@ TEST(MessagesTest, RejectsGarbage) {
   }
 }
 
+// Types 24 and 25 carried the retired full-snapshot metrics poll. Whatever
+// body follows, under a valid checksum, they are rejected exactly like a type
+// that never existed.
+TEST(MessagesTest, RetiredTypesAreRejectedLikeUnknownTypes) {
+  const Status unknown = DecodeMessage(Sealed({35, 1, 2})).status();
+  Rng rng(24);
+  for (uint8_t type : {24, 25}) {
+    std::vector<Bytes> bodies = {{}, {1, 2}};
+    // The retired type-24 request layout: u64 request id, then a reply address.
+    bodies.push_back({0, 0, 0, 0, 0, 0, 0, 15, 10, 0, 0, 9, 0x16, 0x2e});
+    for (int i = 0; i < 50; ++i) {
+      Bytes random(rng.NextBelow(200));
+      for (uint8_t& b : random) {
+        b = static_cast<uint8_t>(rng.NextU64());
+      }
+      bodies.push_back(std::move(random));
+    }
+    for (const Bytes& body : bodies) {
+      Bytes forged = {type};
+      forged.insert(forged.end(), body.begin(), body.end());
+      auto result = DecodeMessage(Sealed(std::move(forged)));
+      ASSERT_FALSE(result.ok()) << "type " << int{type} << ", " << body.size() << "-byte body";
+      EXPECT_EQ(result.status().code(), unknown.code());
+      EXPECT_EQ(result.status().message(), "unknown message type " + std::to_string(type));
+    }
+  }
+}
+
 TEST(MessagesTest, RejectsTrailingBytes) {
   Bytes body = Encode(DsrListRequest{1});
   body.resize(body.size() - 4);  // drop the checksum
@@ -411,7 +440,7 @@ TEST(MessagesTest, MetricsDeltaRoundTrip) {
   resp.full = false;
   resp.counters = {{"forwarding.delivered", 10}, {"lookup.requests", 99}};
   resp.gauges = {{"admission.queue_depth", -1}};
-  MetricsResponse::HistogramItem h;
+  MetricsDeltaResponse::HistogramItem h;
   h.name = "latency.stage.lookup";
   h.sum = 500;
   h.min = 2;

@@ -120,8 +120,7 @@ const std::set<std::string>& EventOnlyExemptions() {
       "client.failovers", "client.request_timeouts", "client.address_changes",
       "client.discover_retries", "client.resolve_retries",
       "topology.stale_accepts", "topology.half_open_repairs", "topology.order_lapses",
-      "topology.lapse_dissolves", "topology.relaxation_switches", "topology.edge_resets",
-      "topology.join_retries",
+      "topology.lapse_dissolves", "topology.edge_resets", "topology.join_retries",
       "replication.snapshots_sent", "replication.snapshots_applied",
       "replication.snapshot_purged", "replication.serial_regressions",
       "replication.transfer_retries", "replication.transfer_aborts",

@@ -166,7 +166,7 @@ TEST(NetmonTest, AgesOutResolverCrashedMidPoll) {
   const uint64_t a_messages_before =
       mh.monitor->resolvers().at(a->address()).snapshot.counters.at("inr.messages");
 
-  // Crash `b` with the monitor's next MetricsRequest IN FLIGHT: PollOnce
+  // Crash `b` with the monitor's next MetricsDeltaRequest IN FLIGHT: PollOnce
   // fires the request, then the resolver dies before it can answer. The
   // monitor must not treat the never-answered poll as contact — `b` ages out
   // on schedule, and its stale counters leave the report instead of being
@@ -199,7 +199,6 @@ TEST(NetmonDeltaTest, FirstPollIsFullThenDeltasReassembleTheSnapshot) {
 
   NetworkMonitor::Options options;
   options.inr = a->address();
-  ASSERT_TRUE(options.delta_polling);  // incremental is the default
   MonitorHarness mh(&cluster, 40, options);
 
   mh.monitor->PollOnce();

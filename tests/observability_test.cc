@@ -189,12 +189,14 @@ TEST(InstrumentBlindSpotTest, OverfilledRingsShowInMetricsSnapshot) {
   ASSERT_GE(flight_lost, 6u);
 
   auto poller = cluster.AddEndpoint(40);
-  MetricsRequest req;
+  MetricsDeltaRequest req;
   req.request_id = 7;
+  req.since_seq = 0;  // no baseline: the answer is the full snapshot
   poller->Send(inr->address(), Envelope{MessageBody(req)});
   cluster.loop().RunFor(Seconds(1));
-  const auto responses = poller->ReceivedOf<MetricsResponse>();
+  const auto responses = poller->ReceivedOf<MetricsDeltaResponse>();
   ASSERT_EQ(responses.size(), 1u);
+  ASSERT_TRUE(responses[0].full);
   std::map<std::string, int64_t> gauges;
   for (const auto& g : responses[0].gauges) {
     gauges[g.name] = g.value;

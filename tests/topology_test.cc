@@ -188,55 +188,6 @@ TEST(TopologyTest, GracefulStopNotifiesPeers) {
   EXPECT_EQ(cluster.dsr().ActiveInrs(), std::vector<NodeAddress>{a->address()});
 }
 
-TEST(TopologyTest, RelaxationImprovesParentChoice) {
-  ClusterOptions options;
-  options.inr_template.topology.enable_relaxation = true;
-  options.inr_template.topology.relaxation_interval = Seconds(10);
-  SimCluster cluster(options);
-
-  // At join time a is the closest peer for c, so c parents a.
-  cluster.net().SetLink(MakeAddress(1).ip, MakeAddress(3).ip, {Milliseconds(5), 0, 0});
-  cluster.net().SetLink(MakeAddress(2).ip, MakeAddress(3).ip, {Milliseconds(50), 0, 0});
-  cluster.AddInr(1);
-  cluster.loop().RunFor(Seconds(1));
-  Inr* b = cluster.AddInr(2);
-  (void)b;
-  cluster.loop().RunFor(Seconds(1));
-  Inr* c = cluster.AddInr(3);
-  cluster.StabilizeTopology();
-  ASSERT_EQ(c->topology().parent(), MakeAddress(1));
-
-  // Network conditions change: the link to b becomes much faster. The
-  // relaxation phase re-probes and re-parents c under b (a legal parent —
-  // b joined before c in the DSR's linear order).
-  cluster.net().SetLink(MakeAddress(2).ip, MakeAddress(3).ip, {Milliseconds(1), 0, 0});
-  cluster.loop().RunFor(Seconds(60));
-  EXPECT_EQ(c->topology().parent(), MakeAddress(2));
-  EXPECT_GT(c->metrics().Counter("topology.relaxation_switches"), 0u);
-  EXPECT_TRUE(IsConnectedTree(cluster.inrs()));
-}
-
-TEST(TopologyTest, RelaxationNeverAdoptsLaterJoiner) {
-  ClusterOptions options;
-  options.inr_template.topology.enable_relaxation = true;
-  options.inr_template.topology.relaxation_interval = Seconds(10);
-  SimCluster cluster(options);
-
-  // b's best RTT is to c, but c joined after b: switching would risk a cycle.
-  cluster.net().SetLink(MakeAddress(1).ip, MakeAddress(2).ip, {Milliseconds(20), 0, 0});
-  cluster.net().SetLink(MakeAddress(2).ip, MakeAddress(3).ip, {Milliseconds(1), 0, 0});
-  cluster.AddInr(1);
-  cluster.loop().RunFor(Seconds(1));
-  Inr* b = cluster.AddInr(2);
-  cluster.loop().RunFor(Seconds(1));
-  cluster.AddInr(3);
-  cluster.StabilizeTopology();
-
-  cluster.loop().RunFor(Seconds(60));
-  EXPECT_EQ(b->topology().parent(), MakeAddress(1));
-  EXPECT_TRUE(IsConnectedTree(cluster.inrs()));
-}
-
 TEST(TopologyTest, TreeSurvivesLossyLinks) {
   ClusterOptions options;
   options.default_link = {Milliseconds(2), 0, 0.05};  // 5% loss

@@ -214,25 +214,6 @@ std::vector<Bytes> EncodedSpecimens() {
   specimens.push_back(Encode(DsrAssignmentsResponse{14, {"cam", "building"}}));
   specimens.push_back(Encode(PeerKeepalive{MakeAddress(3)}));
 
-  MetricsRequest mreq;
-  mreq.request_id = 15;
-  mreq.reply_to = MakeAddress(9);
-  specimens.push_back(Encode(mreq));
-
-  MetricsResponse mresp;
-  mresp.request_id = 15;
-  mresp.inr = MakeAddress(1);
-  mresp.counters = {{"forwarding.packets", 123}, {"forwarding.drop.no_match", 4}};
-  mresp.gauges = {{"inr.names", 17}, {"admission.lag_us", -1}};
-  MetricsResponse::HistogramItem h;
-  h.name = "forwarding.lookup_us";
-  h.sum = 900;
-  h.min = 100;
-  h.max = 500;
-  h.buckets = {{7, 2}, {9, 1}};
-  mresp.histograms.push_back(std::move(h));
-  specimens.push_back(Encode(mresp));
-
   JournalDigest jd;
   jd.from = MakeAddress(1);
   jd.items = {{"", 42}, {"cam", 7}};
@@ -290,7 +271,7 @@ std::vector<Bytes> EncodedSpecimens() {
   mdresp.full = false;
   mdresp.counters = {{"forwarding.delivered", 41}, {"lookup.requests", 1002}};
   mdresp.gauges = {{"topology.neighbors", 3}};
-  MetricsResponse::HistogramItem dh;
+  MetricsDeltaResponse::HistogramItem dh;
   dh.name = "latency.stage.lookup";
   dh.sum = 1234;
   dh.min = 80;
@@ -309,8 +290,9 @@ std::vector<Bytes> EncodedSpecimens() {
 
 TEST(WireCorruptionSweepTest, EveryBitFlipOfEveryMessageTypeIsSafe) {
   std::vector<Bytes> specimens = EncodedSpecimens();
-  // One specimen per message type plus the traced-packet variant.
-  ASSERT_EQ(specimens.size(), std::variant_size_v<MessageBody> + 1);
+  // One specimen per message type (retired types 24 and 25 have none) plus
+  // the traced-packet variant.
+  ASSERT_EQ(specimens.size(), std::variant_size_v<MessageBody> - 2 + 1);
   for (const Bytes& valid : specimens) {
     ASSERT_TRUE(DecodeMessage(valid).ok());
     for (size_t byte = 0; byte < valid.size(); ++byte) {
@@ -408,7 +390,7 @@ std::vector<Bytes> GoldenOnlySpecimens() {
   full.full = true;
   full.counters = {{"transport.drop.oversize", 2}};
   full.gauges = {{"admission.lag_us", -(1ll << 40)}};
-  MetricsResponse::HistogramItem h;
+  MetricsDeltaResponse::HistogramItem h;
   h.name = "latency.stage.encode";
   h.sum = 77;
   h.min = 77;
@@ -433,8 +415,8 @@ struct GoldenEncoding {
   uint64_t digest;
 };
 
-// EncodedSpecimens() in order (wire types 1..34, then the traced packet),
-// followed by GoldenOnlySpecimens().
+// EncodedSpecimens() in order (wire types 1..34 without the retired 24 and
+// 25, then the traced packet), followed by GoldenOnlySpecimens().
 constexpr GoldenEncoding kGolden[] = {
     {119, 0xdb3a5ff0c7306a26ull},  // 1 Data
     {136, 0x6c6b5b5fda0ee2feull},  // 2 Advertisement
@@ -459,8 +441,6 @@ constexpr GoldenEncoding kGolden[] = {
     {19, 0x466e6b6aa9a1fa44ull},   // 21 DsrAssignmentsRequest
     {30, 0x542e4af3097dc7c7ull},   // 22 DsrAssignmentsResponse
     {11, 0x794830b7792e1311ull},   // 23 PeerKeepalive
-    {19, 0x72262b2a39004eceull},   // 24 MetricsRequest
-    {197, 0x32f25fc39516c11bull},  // 25 MetricsResponse
     {36, 0xef2f56ff579bda6full},   // 26 JournalDigest
     {25, 0xe56307950d0285b6ull},   // 27 JournalDeltaRequest
     {222, 0x300ecd076409780eull},  // 28 JournalDeltaResponse
