@@ -151,9 +151,6 @@ RunResult RunBatched(size_t batch, uint16_t port) {
   RealEventLoop loop;
   BatchedUdpConfig config;
   config.batch_size = batch;
-  // Keep the coalescing window tight: this bench measures throughput, and a
-  // sub-batch tail should not idle for long.
-  config.flush_delay = Microseconds(100);
   auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, port), config);
   auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, port + 1), config);
   if (!a.ok() || !b.ok()) {

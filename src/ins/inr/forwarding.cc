@@ -98,7 +98,7 @@ void ForwardingAgent::HandleData(const NodeAddress& src, const Packet& packet) {
 
 void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& packet,
                                         const NameSpecifier& dst) {
-  const std::string vspace = VspaceManager::VspaceOf(dst);
+  const std::string& vspace = VspaceManager::VspaceOf(dst);
   const ShardedNameTree& store = vspaces_->store();
   if (!store.Routes(vspace)) {
     ForwardToVspaceOwner(packet, vspace);

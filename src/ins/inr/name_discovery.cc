@@ -54,7 +54,7 @@ void NameDiscovery::HandleAdvertisement(const NodeAddress& src, const Advertisem
                     << ": " << name.status();
     return;
   }
-  std::string vspace = !ad.vspace.empty() ? ad.vspace : VspaceManager::VspaceOf(*name);
+  const std::string& vspace = !ad.vspace.empty() ? ad.vspace : VspaceManager::VspaceOf(*name);
 
   if (!vspaces_->Routes(vspace)) {
     // Forward to the resolver owning the space; if nobody routes it yet,

@@ -33,8 +33,10 @@ bool VspaceManager::RemoveSpace(const std::string& vspace) {
   return true;
 }
 
-std::string VspaceManager::VspaceOf(const NameSpecifier& name) {
-  return name.GetValue({kVspaceAttribute}).value_or("");
+const std::string& VspaceManager::VspaceOf(const NameSpecifier& name) {
+  static const std::string kDefaultSpace;
+  const AvPair* root = FindPair(name.roots(), kVspaceAttribute);
+  return root != nullptr && root->value.is_literal() ? root->value.literal() : kDefaultSpace;
 }
 
 void VspaceManager::EnableReplicaMode(Duration cache_ttl, size_t replica_k) {

@@ -53,8 +53,8 @@ class VspaceManager {
   NameTree* Tree(const std::string& vspace) { return store_.Tree(vspace); }
   const NameTree* Tree(const std::string& vspace) const { return store_.Tree(vspace); }
 
-  // Extracts the root [vspace=...] value; "" when absent (the default space).
-  static std::string VspaceOf(const NameSpecifier& name);
+  // The root [vspace=...] value of `name` (not a copy); "" when absent (the default space).
+  static const std::string& VspaceOf(const NameSpecifier& name);
 
   // Resolves which INR routes `vspace`, caching the answer. Requests to the
   // DSR are coalesced per space.

@@ -206,9 +206,14 @@ Status BatchedUdpTransport::Send(const NodeAddress& destination, const Bytes& da
   RingPush(slot_index);
 
   if (ring_count_ >= config_.batch_size) {
-    Flush(/*force=*/false);
+    Flush();
   } else if (flush_task_ == kInvalidTaskId && !write_blocked_) {
-    ScheduleFlush(config_.flush_delay);
+    // Due at once: the wheel fires it in the Advance() that ends this loop
+    // iteration, after every ready fd's handler has run.
+    flush_task_ = loop_->ScheduleAt(loop_->Now(), [this] {
+      flush_task_ = kInvalidTaskId;
+      Flush();
+    });
   }
   return Status::Ok();
 }
@@ -218,7 +223,7 @@ Status BatchedUdpTransport::SendOversize(const NodeAddress& destination,
   // Rare control-plane case (> kTxSlotBytes frame): bypass the slot ring
   // with a direct sendto. Queued smaller datagrams flush first to keep
   // per-destination ordering.
-  Flush(/*force=*/true);
+  Flush();
   uint8_t frame[kMaxDatagram];
   WriteVirtualHeader(address_, frame);
   std::memcpy(frame + kVirtualHeader, data.data(), data.size());
@@ -244,20 +249,13 @@ Status BatchedUdpTransport::SendOversize(const NodeAddress& destination,
   return Status::Ok();
 }
 
-void BatchedUdpTransport::ScheduleFlush(Duration delay) {
-  flush_task_ = loop_->ScheduleAfter(delay, [this] {
-    flush_task_ = kInvalidTaskId;
-    Flush(/*force=*/true);
-  });
-}
-
 void BatchedUdpTransport::OnWritable() {
   write_blocked_ = false;
   loop_->SetWriteInterest(fd_, false);
-  Flush(/*force=*/true);
+  Flush();
 }
 
-void BatchedUdpTransport::Flush(bool force) {
+void BatchedUdpTransport::Flush() {
   if (write_blocked_) {
     return;  // EPOLLOUT will resume us
   }
@@ -267,7 +265,7 @@ void BatchedUdpTransport::Flush(bool force) {
   char cmsg_bufs[kMaxSendBatch][CMSG_SPACE(sizeof(uint16_t))];
   size_t group_slots[kMaxSendBatch];  // datagrams carried by each mmsghdr
 
-  while (ring_count_ >= (force ? 1 : config_.batch_size)) {
+  while (ring_count_ > 0) {
     const size_t want = ring_count_ < config_.batch_size ? ring_count_ : config_.batch_size;
     // One mmsghdr per wire group. A group is a run of consecutive datagrams
     // with the same destination and length — with GSO those collapse into a
@@ -365,9 +363,6 @@ void BatchedUdpTransport::Flush(bool force) {
       return;
     }
   }
-  if (ring_count_ > 0 && flush_task_ == kInvalidTaskId) {
-    ScheduleFlush(config_.flush_delay);
-  }
 }
 
 void BatchedUdpTransport::FlushNow() {
@@ -375,7 +370,7 @@ void BatchedUdpTransport::FlushNow() {
     loop_->Cancel(flush_task_);
     flush_task_ = kInvalidTaskId;
   }
-  Flush(/*force=*/true);
+  Flush();
 }
 
 void BatchedUdpTransport::SetReceiveHandler(ReceiveHandler handler) {

@@ -20,9 +20,9 @@
 //     on the wire is byte-identical to one sent on its own, and both
 //     sides degrade to plain sendmmsg/recvmmsg at runtime if the kernel
 //     refuses the options.
-//   * A full batch flushes inline; a partial batch waits up to `flush_delay`
-//     for coalescing (scheduled on the event loop's timer wheel, whose nodes
-//     are pooled — still no allocation).
+//   * A full batch flushes inline; a partial batch leaves at the end of the
+//     loop iteration that queued it, on a pooled timer node due at once —
+//     still no allocation, and the loop never sleeps with a batch queued.
 //   * Inbound traffic drains with recvmmsg into a preallocated buffer ring;
 //     the payload handed to the receive handler reuses one scratch buffer
 //     whose capacity persists, so steady state does not allocate either.
@@ -47,8 +47,6 @@ namespace ins {
 struct BatchedUdpConfig {
   size_t batch_size = 32;   // datagrams per sendmmsg/recvmmsg call
   size_t max_queue = 4096;  // transmit slots; the backpressure bound
-  // How long a partial batch may wait for coalescing before it is flushed.
-  Duration flush_delay = Microseconds(200);
 };
 
 class BatchedUdpTransport : public Transport {
@@ -69,8 +67,8 @@ class BatchedUdpTransport : public Transport {
   NodeAddress local_address() const override { return address_; }
   void AttachMetrics(MetricsRegistry* metrics) override;
 
-  // Sends everything queued, ignoring the coalescing window (still subject
-  // to kernel backpressure). Tests and shutdown paths use it.
+  // Sends everything queued now instead of at the end of the loop iteration
+  // (still subject to kernel backpressure). Tests and shutdown paths use it.
   void FlushNow();
 
   size_t queued() const { return ring_count_; }
@@ -86,10 +84,9 @@ class BatchedUdpTransport : public Transport {
                       const BatchedUdpConfig& config);
   void RegisterMetrics(MetricsRegistry* metrics);
 
-  // Sends as many full batches as the kernel allows; arranges a
-  // timer or EPOLLOUT continuation for whatever remains.
-  void Flush(bool force);
-  void ScheduleFlush(Duration delay);
+  // Sends everything queued, a batch per sendmmsg, until the kernel pushes
+  // back; EPOLLOUT then resumes it.
+  void Flush();
   void OnWritable();
   void OnReadable();
   void DispatchDatagram(const uint8_t* buf, size_t len);

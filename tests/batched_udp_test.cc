@@ -1,5 +1,6 @@
-// Tests for BatchedUdpTransport: batching counters, queue backpressure
-// accounting under real kernel pushback, the oversize bypass, the wire format
+// Tests for BatchedUdpTransport: batching counters, partial batches leaving
+// before the loop sleeps, queue backpressure accounting under real kernel
+// pushback, the oversize bypass, the wire format
 // as a raw POSIX socket sees it, bind failures, and the zero-allocation
 // guarantee on the hot path.
 
@@ -16,6 +17,7 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -23,6 +25,7 @@
 #include "alloc_window.h"
 #include "ins/common/metrics.h"
 #include "ins/transport/batched_udp_transport.h"
+#include "ins/transport/timer_wheel.h"
 
 namespace ins {
 namespace {
@@ -146,28 +149,116 @@ TEST(BatchedUdpTest, BindConflictFails) {
   EXPECT_FALSE(b.ok());
 }
 
-TEST(BatchedUdpTest, CoalescingTimerFlushesPartialBatch) {
+// One pass of the event loop that cannot sleep: a Stop() due now bounds the
+// epoll_wait timeout at zero, and the pass ends with the timer wheel's
+// Advance(), as every loop iteration does.
+void PollNow(RealEventLoop& loop) {
+  loop.ScheduleAt(loop.Now(), [&loop] { loop.Stop(); });
+  loop.Run();
+}
+
+// The tests below run 64 rounds, and round r sends 16r µs into a tick of the
+// timer wheel, so the rounds sweep the whole 1.024-ms tick. A flush deferred
+// by any delay d misses the end of its iteration in the rounds that send
+// within d of a tick's end.
+constexpr int kRounds = 64;
+
+void WaitForTickPhaseOfRound(const RealEventLoop& loop, int round) {
+  constexpr int64_t kTickMask = (int64_t{1} << TimerWheel::kTickShift) - 1;
+  while ((loop.Now().count() & kTickMask) / 16 != round) {
+  }
+}
+
+TEST(BatchedUdpTest, PartialBatchLeavesBeforeTheLoopSleeps) {
   RealEventLoop loop;
   BatchedUdpConfig config;
-  config.batch_size = 64;  // never reached: only the timer can flush
-  config.flush_delay = Milliseconds(5);
+  config.batch_size = 64;  // never reached: every batch here is partial
   auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, 43431), config);
   auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, 43432));
   ASSERT_TRUE(a.ok() && b.ok());
+  MetricsRegistry metrics;
+  (*a)->AttachMetrics(&metrics);
 
   int received = 0;
   (*b)->SetReceiveHandler([&](const NodeAddress&, const Bytes&) {
-    if (++received == 3) {
+    if (++received == 3 * kRounds) {
       loop.Stop();
     }
   });
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*a)->Send(MakeAddress(2, 43432), {9}).ok());
+  for (int round = 0; round < kRounds; ++round) {
+    WaitForTickPhaseOfRound(loop, round);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*a)->Send(MakeAddress(2, 43432), {9}).ok());
+    }
+    ASSERT_EQ((*a)->queued(), 3u);
+    PollNow(loop);
+    ASSERT_EQ((*a)->queued(), 0u) << "round " << round;
   }
-  EXPECT_EQ((*a)->queued(), 3u);  // parked, waiting for the window
-  loop.RunFor(Seconds(5));
-  EXPECT_EQ(received, 3);
-  EXPECT_EQ((*a)->queued(), 0u);
+  // What one iteration queued left in one sendmmsg.
+  EXPECT_EQ(metrics.Counter("transport.send.batches"), static_cast<uint64_t>(kRounds));
+  if (received < 3 * kRounds) {
+    loop.RunFor(Seconds(5));
+  }
+  EXPECT_EQ(received, 3 * kRounds);
+}
+
+TEST(BatchedUdpTest, SendFromATimerLeavesBeforeTheLoopSleeps) {
+  RealEventLoop loop;
+  auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, 43433));
+  auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, 43434));
+  ASSERT_TRUE(a.ok() && b.ok());
+  (*b)->SetReceiveHandler([](const NodeAddress&, const Bytes&) {});
+
+  for (int round = 0; round < kRounds; ++round) {
+    WaitForTickPhaseOfRound(loop, round);
+    loop.ScheduleAt(loop.Now(), [&] {
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE((*a)->Send(MakeAddress(2, 43434), {7}).ok());
+      }
+    });
+    PollNow(loop);
+    // The timer's sends scheduled their flush while the wheel was firing. It
+    // is already due, so the loop's next epoll_wait has a zero timeout, and
+    // that iteration sends the batch.
+    PollNow(loop);
+    ASSERT_EQ((*a)->queued(), 0u) << "round " << round;
+  }
+}
+
+TEST(BatchedUdpTest, EchoFromAReceiveHandlerLeavesBeforeTheLoopSleeps) {
+  RealEventLoop loop;
+  auto a = BatchedUdpTransport::Bind(&loop, MakeAddress(1, 43435));
+  auto b = BatchedUdpTransport::Bind(&loop, MakeAddress(2, 43436));
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  int echoed = 0;
+  int replies = 0;
+  (*b)->SetReceiveHandler([&](const NodeAddress& src, const Bytes& data) {
+    ASSERT_TRUE((*b)->Send(src, data).ok());
+    ++echoed;
+  });
+  (*a)->SetReceiveHandler([&](const NodeAddress&, const Bytes&) {
+    if (++replies == 3 * kRounds) {
+      loop.Stop();
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    WaitForTickPhaseOfRound(loop, round);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*a)->Send(MakeAddress(2, 43436), {5}).ok());
+    }
+    (*a)->FlushNow();
+    // The replies the handler queued leave in the iteration that ran it.
+    for (int polls = 0; echoed < 3 * (round + 1) && polls < 100'000; ++polls) {
+      PollNow(loop);
+      ASSERT_EQ((*b)->queued(), 0u) << "round " << round;
+    }
+    ASSERT_EQ(echoed, 3 * (round + 1));
+  }
+  if (replies < 3 * kRounds) {
+    loop.RunFor(Seconds(5));
+  }
+  EXPECT_EQ(replies, 3 * kRounds);
 }
 
 // Makes every later sendmmsg in this process fail with EAGAIN, the kernel

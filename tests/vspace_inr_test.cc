@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_window.h"
 #include "ins/harness/cluster.h"
 #include "ins/name/parser.h"
 
@@ -26,6 +27,23 @@ TEST(VspaceTest, VspaceOfExtractsRootAttribute) {
   EXPECT_EQ(VspaceManager::VspaceOf(n), "cams");
   auto d = *ParseNameSpecifier("[service=camera]");
   EXPECT_EQ(VspaceManager::VspaceOf(d), "");
+  auto w = *ParseNameSpecifier("[vspace=*][service=camera]");
+  EXPECT_EQ(VspaceManager::VspaceOf(w), "");  // only a literal names a space
+}
+
+TEST(VspaceTest, VspaceOfAllocatesNothing) {
+  // The forwarder asks for the space of every packet's destination.
+  auto n = *ParseNameSpecifier("[vspace=a-space-name-past-the-sso-buffer][service=camera]");
+  auto d = *ParseNameSpecifier("[service=camera]");
+  uint64_t allocs = 0;
+  size_t length = 0;
+  {
+    AllocWindow window;
+    length = VspaceManager::VspaceOf(n).size() + VspaceManager::VspaceOf(d).size();
+    allocs = window.count();
+  }
+  EXPECT_EQ(length, 32u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(VspaceTest, SpacesKeepSeparateTrees) {
